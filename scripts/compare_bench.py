@@ -65,12 +65,9 @@ NON_IDENTITY_FIELDS = set(TIME_FIELDS) | set(HOST_FIELDS) | {
     "speedup",
     "speedup_vs_condition",
     "draw_speedup_vs_full",
-    "speedup_vs_perdraw",
     "draws_per_sec",
     "p_domain",
     "tail_rate",
-    "heavy_tail_pools",
-    "refreshes",
     "law_ok",
     "accept_rate",
     "chi_square",
@@ -102,7 +99,6 @@ NON_IDENTITY_FIELDS = set(TIME_FIELDS) | set(HOST_FIELDS) | {
     "max_coalesced",
     "queue_peak",
     "sessions",
-    "poisoned_replacements",
 }
 
 

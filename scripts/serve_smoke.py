@@ -15,22 +15,21 @@ per-seed determinism. Four daemon instances:
     its seed, and the stats reply must count exactly the requests before
     it. This drives the daemon's reader and writer threads concurrently
     (under the sanitizer legs too).
- 3. The poisoning path: a scoped `distill.revalidate` failpoint forces
-    proposal drift on every draw of a persistent-proposal session. Each
-    request must fail with status 4 (ProposalDriftError, a
-    NumericalError) and NEVER status 2 (SessionPoisoned) — the registry
-    must evict the poisoned session and build a replacement rather than
-    hand the poisoned one to the next client. Verified via the stats
-    surface: session epoch strictly increases, poisoned_replacements
-    counts the swap.
+ 3. The law over the wire: a small distilled feature kernel (n = 8,
+    k = 3, so 56 subsets) is sampled on fixed seeds through the daemon,
+    and the draws are chi-square-tested against det(L_S) enumerated
+    here — cells with expected count below 5 pooled, the Wilson–Hilferty
+    threshold at z = 4, as bench_largescale does.
  4. The framing-error path: an oversize declared length is
     unrecoverable — the daemon answers status 1 and exits 2.
 
 Runs under the CI fault-injection leg too: the canned scoped schedule
-is law-invariant (recoverable guard events only), so phase 1 still
-draws successfully; phase 3 overrides PARDPP_FAILPOINTS itself.
+is law-invariant (recoverable guard events only), so every phase still
+draws successfully and phase 3's law still holds.
 """
 
+import itertools
+import math
 import os
 import re
 import signal
@@ -114,22 +113,77 @@ def kernel_request(seed, count, off_diagonal="0.3"):
     )
 
 
-def feature_request(seed):
-    # 16x3 feature rows (deterministic, full-rank), persistent-proposal
-    # distillation config — the only config that can be poisoned.
-    rows = []
-    for i in range(16):
-        rows.append(
-            ",".join(str(((7 * i + 3 * j) % 11) - 5 + (1 if i == j else 0))
-                     for j in range(3))
-        )
+# 8x4 feature rows (deterministic, full rank) for the law check.
+LAW_FEATURES = [
+    [((5 * i + 3 * j) % 7) - 3 + (2 if i % 4 == j else 0) for j in range(4)]
+    for i in range(8)
+]
+LAW_K = 3
+
+
+def feature_request(seed, count):
+    rows = [",".join(str(v) for v in row) for row in LAW_FEATURES]
     return (
         "sample\n"
-        f"seed={seed}\ncount=1\nk=3\nkind=features\n"
-        "config=distill.enabled=1,distill.persistent_proposal=1,"
-        "distill.refresh_interval=1\n"
+        f"seed={seed}\ncount={count}\nk={LAW_K}\nkind=features\n"
+        "config=distill.enabled=1\n"
         "matrix=" + ";".join(rows) + "\n"
     )
+
+
+def determinant(matrix):
+    """Gaussian elimination with partial pivoting on a list of rows."""
+    a = [list(map(float, row)) for row in matrix]
+    n = len(a)
+    det = 1.0
+    for c in range(n):
+        pivot = max(range(c, n), key=lambda r: abs(a[r][c]))
+        if a[pivot][c] == 0.0:
+            return 0.0
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            factor = a[r][c] / a[c][c]
+            for j in range(c, n):
+                a[r][j] -= factor * a[c][j]
+    return det
+
+
+def subset_law(features, k):
+    """{subset: P(S)} with P(S) proportional to det(L_S), L = F F^T."""
+    masses = {}
+    for subset in itertools.combinations(range(len(features)), k):
+        gram = [[sum(x * y for x, y in zip(features[a], features[b]))
+                 for b in subset] for a in subset]
+        masses[subset] = max(determinant(gram), 0.0)
+    total = sum(masses.values())
+    return {subset: mass / total for subset, mass in masses.items()}
+
+
+def chi_square_pooled(expected, observed):
+    """Pearson statistic with cells of expected < 5 pooled, and the
+    Wilson-Hilferty upper quantile at z = 4 for its degrees of freedom."""
+    statistic = 0.0
+    cells = 0
+    pooled_expected = 0.0
+    pooled_observed = 0.0
+    for e, o in zip(expected, observed):
+        if e < 5.0:
+            pooled_expected += e
+            pooled_observed += o
+            continue
+        statistic += (o - e) ** 2 / e
+        cells += 1
+    if pooled_expected > 0.0 or pooled_observed > 0.0:
+        statistic += (pooled_observed - pooled_expected) ** 2 / max(
+            pooled_expected, 1.0)
+        cells += 1
+    dof = cells - 1 if cells > 1 else 1
+    h = 2.0 / (9.0 * dof)
+    threshold = dof * (1.0 - h + 4.0 * math.sqrt(h)) ** 3
+    return statistic, dof, threshold
 
 
 def phase_happy_path(binary):
@@ -153,7 +207,7 @@ def phase_happy_path(binary):
     assert stats["registry.sessions"] == "1", stats
     assert stats["registry.misses"] == "1", stats
     assert stats["registry.hits"] == "1", stats
-    assert session_field(stats, "poisoned") == 0, stats
+    assert session_field(stats, "failures") == 0, stats
 
     status, body = daemon.request("bogus-verb\n")
     assert status == 1, (status, body)
@@ -210,38 +264,31 @@ def phase_pipelined(binary):
     print("phase 2 (pipelined frames, in order, serial-identical): ok")
 
 
-def phase_poisoned_replacement(binary):
-    # Scoped so only draws (inside a FailpointScope) drift — session
-    # construction stays clean, letting the replacement build succeed.
-    daemon = Daemon(
-        binary,
-        env={"PARDPP_FAILPOINTS": "distill.revalidate=scoped,prob:1,seed:424242"},
-    )
-    status, body = daemon.request(feature_request(seed=5))
-    assert status == 4, (status, body)  # ProposalDriftError, typed
-    status, body = daemon.request("stats\n")
-    assert status == 0, (status, body)
-    stats = parse_kv(body)
-    assert session_field(stats, "poisoned") == 1, stats
-    first_epoch = session_field(stats, "epoch")
-
-    # Second request: the registry must replace the poisoned session and
-    # run the draw on the fresh one (which drifts again -> status 4).
-    # Status 2 here would mean SessionPoisoned reached a client.
-    status, body = daemon.request(feature_request(seed=6))
-    assert status == 4, (
-        f"poisoned session leaked to a client: status {status}: {body}"
-    )
-    status, body = daemon.request("stats\n")
-    stats = parse_kv(body)
-    assert stats["registry.poisoned_replacements"] == "1", stats
-    assert stats["registry.sessions"] == "1", stats
-    assert session_field(stats, "epoch") > first_epoch, stats
-
+def phase_law_over_the_wire(binary):
+    law = subset_law(LAW_FEATURES, LAW_K)
+    daemon = Daemon(binary)
+    counts = {subset: 0 for subset in law}
+    trials = 0
+    for seed in (7001, 7002, 7003, 7004):
+        status, body = daemon.request(feature_request(seed, count=1000))
+        assert status == 0, (status, body)
+        for line in sample_lines(body):
+            subset = tuple(int(v) for v in line.split("=")[1].split())
+            assert subset in counts, f"not a {LAW_K}-subset: {line}"
+            counts[subset] += 1
+            trials += 1
+    assert trials == 4000, trials
+    subsets = sorted(law)
+    statistic, dof, threshold = chi_square_pooled(
+        [law[s] * trials for s in subsets], [counts[s] for s in subsets])
+    assert statistic < threshold, (
+        f"distilled law off over the wire: chi2 {statistic:.1f} "
+        f"(dof {dof}) >= {threshold:.1f}")
     status, body = daemon.request("shutdown\n")
     assert status == 0, (status, body)
     assert daemon.close() == 0
-    print("phase 3 (poisoned session evicted and replaced): ok")
+    print(f"phase 3 (distilled law over the wire): ok "
+          f"(chi2 {statistic:.1f}, dof {dof}, threshold {threshold:.1f})")
 
 
 def phase_framing_error(binary):
@@ -265,7 +312,7 @@ def main():
         signal.alarm(300)  # fail loudly rather than hang CI
     phase_happy_path(binary)
     phase_pipelined(binary)
-    phase_poisoned_replacement(binary)
+    phase_law_over_the_wire(binary)
     phase_framing_error(binary)
     print("serve smoke: all phases ok")
     return 0

@@ -22,21 +22,67 @@ void DistillOptions::validate(std::size_t k) const {
                   " cannot seat a sample of size " + std::to_string(k) +
                   " (every pool would starve)");
   }
-  if (sparsified_domain != 0) {
-    check_arg(persistent_proposal,
-              "DistillOptions::sparsified_domain: set without "
-              "persistent_proposal — the domain size only shapes the "
-              "persistent sparsified proposal and would be silently "
-              "ignored");
-    if (k != 0) {
-      check_arg(sparsified_domain >= k,
-                "DistillOptions::sparsified_domain: " +
-                    std::to_string(sparsified_domain) +
-                    " is below the sample size " + std::to_string(k) +
-                    " (the alias domain could never cover a sample)");
-    }
+  if (sparsified_domain != 0 && k != 0) {
+    check_arg(sparsified_domain >= k,
+              "DistillOptions::sparsified_domain: " +
+                  std::to_string(sparsified_domain) +
+                  " is below the sample size " + std::to_string(k) +
+                  " (the alias domain could never cover a sample)");
   }
 }
+
+namespace {
+
+using WeightedId = std::pair<double, int>;
+
+// Strict total order (heavier first, ties to the lower id), so the
+// sparsified domain is a deterministic function of the profile.
+bool heavier(const WeightedId& a, const WeightedId& b) {
+  if (a.first != b.first) return a.first > b.first;
+  return a.second < b.second;
+}
+
+// The `count` heaviest positive-weight items of a stream of (weight, id)
+// pairs offered in ascending id order, in O(n) time and O(count) memory.
+// Offers collect in a buffer of 2·count; a full buffer is cut back to its
+// heaviest `count`, whose lightest member becomes the bar later offers
+// must clear (the bar starts at 0, which drops zero weights). Ids
+// ascend, so an offer tied with the bar loses the tie-break: clearing
+// the bar means a strictly larger weight.
+class HeaviestSelector {
+ public:
+  explicit HeaviestSelector(std::size_t count) : count_(count) {
+    buffer_.reserve(2 * count);
+  }
+
+  void offer(double w, std::size_t id) {
+    if (w <= bar_) return;
+    buffer_.emplace_back(w, static_cast<int>(id));
+    if (buffer_.size() == 2 * count_) trim();
+  }
+
+  // The selection in `heavier` order.
+  std::vector<WeightedId> take() {
+    if (buffer_.size() > count_) trim();
+    std::sort(buffer_.begin(), buffer_.end(), heavier);
+    return std::move(buffer_);
+  }
+
+ private:
+  void trim() {
+    std::nth_element(buffer_.begin(),
+                     buffer_.begin() + static_cast<std::ptrdiff_t>(count_ - 1),
+                     buffer_.end(), heavier);
+    buffer_.resize(count_);
+    bar_ = buffer_.back().first;
+  }
+
+  std::size_t count_;
+  double bar_ = 0.0;
+  std::vector<WeightedId> buffer_;
+};
+
+}  // namespace
 
 DistillationPlan::DistillationPlan(const CountingOracle& base,
                                    DistillOptions options)
@@ -58,102 +104,87 @@ DistillationPlan::DistillationPlan(const CountingOracle& base,
            : std::max<std::size_t>(64, 4 * k_ * k_);
   check_arg(m_ >= k_, "DistillationPlan: candidate budget below k");
 
+  const std::size_t n = profile.weights.size();
+  std::size_t log2n = 1;
+  while ((static_cast<std::size_t>(1) << log2n) < n) ++log2n;
+  std::size_t domain_target = 0;  // k = 0 builds no proposal tables
+  if (k_ > 0) {
+    domain_target = options_.sparsified_domain != 0
+                        ? options_.sparsified_domain
+                        : std::max(m_, k_ * log2n * log2n);
+  }
+
+  // One pass: tau, and the domain D — the |D| heaviest items by proposal
+  // weight. An item's proposal weight is the difference of consecutive
+  // prefix sums of the profile (it can differ from the raw weight by one
+  // rounding): the exact mass the inverse-CDF over those sums assigns it.
+  HeaviestSelector selector(std::min(domain_target, n));
   double tau = 0.0;
-  cumulative_.resize(profile.weights.size());
-  for (std::size_t i = 0; i < profile.weights.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const double w = profile.weights[i];
     check_arg(w >= 0.0, "DistillationPlan: negative weight");
+    const double below = tau;
     tau += w;
-    cumulative_[i] = tau;
-    if (w > 0.0) last_positive_ = i;
+    if (domain_target != 0) selector.offer(tau - below, i);
   }
   check_arg(k_ == 0 || tau > 0.0, "DistillationPlan: all weights zero");
-  row_scale_.resize(profile.weights.size());
-  const double md = static_cast<double>(m_);
-  for (std::size_t i = 0; i < profile.weights.size(); ++i) {
-    const double w = profile.weights[i];
-    row_scale_[i] = w > 0.0 ? std::sqrt(tau / (md * w)) : 0.0;
-  }
 
   // log M = log C(r, k) + k log(tau / r): Maclaurin's bound on e_k of a
   // PSD spectrum with at most r nonzero values summing to tau (maximized
   // at the uniform spectrum). r < k means no restriction can carry mass;
   // the base constructor checks already exclude that, but keep log M
   // finite so the failure mode is max_attempts, not NaN.
-  rank_r_ = std::max<std::size_t>(std::min(profile.rank_bound, m_), k_);
-  log_m_ =
-      k_ == 0
-          ? 0.0
-          : log_binomial(rank_r_, k_) +
-                static_cast<double>(k_) *
-                    (std::log(tau) - std::log(static_cast<double>(rank_r_)));
+  const std::size_t rank_r =
+      std::max<std::size_t>(std::min(profile.rank_bound, m_), k_);
+  log_m_ = k_ == 0 ? 0.0
+                   : log_binomial(rank_r, k_) +
+                         static_cast<double>(k_) *
+                             (std::log(tau) -
+                              std::log(static_cast<double>(rank_r)));
 
-  if (options_.persistent_proposal && k_ > 0) build_persistent_tables();
+  if (k_ > 0) build_tables(profile.weights, tau, selector.take());
 }
 
-void DistillationPlan::build_persistent_tables() {
-  const std::size_t n = cumulative_.size();
-  // (weight, id) pairs for the positive-weight items, reconstructed from
-  // the authoritative prefix-sum table so revalidate_domain() resums the
-  // exact same values the alias/tail masses were built from.
-  std::vector<std::pair<double, int>> positive;
-  positive.reserve(n);
-  double prev = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double w = cumulative_[i] - prev;
-    prev = cumulative_[i];
-    if (w > 0.0) positive.emplace_back(w, static_cast<int>(i));
-  }
-
-  const auto heavier = [](const std::pair<double, int>& a,
-                          const std::pair<double, int>& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;  // strict total order => deterministic D
-  };
-  std::size_t log2n = 1;
-  while ((static_cast<std::size_t>(1) << log2n) < n) ++log2n;
-  const std::size_t auto_size =
-      std::max(m_, k_ * log2n * log2n);
-  const std::size_t target = options_.sparsified_domain != 0
-                                 ? options_.sparsified_domain
-                                 : auto_size;
-  const std::size_t t = std::min(target, positive.size());
-  if (t < positive.size())
-    std::nth_element(positive.begin(), positive.begin() + t, positive.end(),
-                     heavier);
-  std::sort(positive.begin(), positive.begin() + t, heavier);
-
+void DistillationPlan::build_tables(
+    const std::vector<double>& weights, double tau,
+    const std::vector<std::pair<double, int>>& domain) {
+  const std::size_t n = weights.size();
+  const std::size_t t = domain.size();
+  std::vector<bool> in_domain(n, false);
   domain_items_.reserve(t);
-  domain_mass_ = 0.0;
-  for (std::size_t c = 0; c < t; ++c) {
-    domain_items_.push_back(positive[c].second);
-    domain_mass_ += positive[c].first;
+  double domain_mass = 0.0;
+  for (const auto& [w, id] : domain) {
+    domain_items_.push_back(id);
+    domain_mass += w;
+    in_domain[static_cast<std::size_t>(id)] = true;
   }
-  // Tail in ascending-id order: the compacted cumulative table must be
-  // monotone for the binary-search fallback.
-  std::vector<std::pair<double, int>> tail(positive.begin() + t,
-                                           positive.end());
-  std::sort(tail.begin(), tail.end(),
-            [](const std::pair<double, int>& a,
-               const std::pair<double, int>& b) { return a.second < b.second; });
-  tail_items_.reserve(tail.size());
-  tail_cumulative_.reserve(tail.size());
-  tail_mass_ = 0.0;
-  for (const auto& [w, id] : tail) {
-    tail_mass_ += w;
-    tail_items_.push_back(id);
-    tail_cumulative_.push_back(tail_mass_);
-  }
-  const double total = domain_mass_ + tail_mass_;
-  p_domain_ = tail_items_.empty() ? 1.0 : domain_mass_ / total;
 
-  // Heavy-tail budget: E[tail candidates per pool] = m (1 - p_D); a pool
-  // beyond twice that (floored so sub-1 expectations do not flag every
-  // stray tail hit) is the rare event that triggers re-validation.
-  const double expected_tail =
-      static_cast<double>(m_) * (1.0 - p_domain_);
-  tail_budget_ = std::max<std::size_t>(
-      4, static_cast<std::size_t>(2.0 * std::ceil(expected_tail)));
+  // One pass in id order: the row scales, and the prefix sums of the tail
+  // weights over all n ids. Domain and zero-weight items add 0, so
+  // upper_bound never lands on them and the index it returns is the item
+  // id; the sums are bit-identical to a table compacted to the tail items.
+  row_scale_.resize(n);
+  tail_cumulative_.resize(n);
+  const double md = static_cast<double>(m_);
+  double running = 0.0;
+  tail_mass_ = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double raw = weights[i];
+    row_scale_[i] = raw > 0.0 ? std::sqrt(tau / (md * raw)) : 0.0;
+    const double below = running;
+    running += raw;
+    const double w = running - below;
+    if (w > 0.0 && !in_domain[i]) {
+      tail_mass_ += w;
+      last_tail_ = i;
+    }
+    tail_cumulative_[i] = tail_mass_;
+  }
+  if (tail_mass_ == 0.0) {
+    tail_cumulative_ = {};
+  } else {
+    p_domain_ = domain_mass / (domain_mass + tail_mass_);
+  }
 
   // Vose alias table over D: cell c keeps its own item with probability
   // alias_prob_[c], otherwise the donated alias_other_[c]. Scaled
@@ -165,7 +196,7 @@ void DistillationPlan::build_persistent_tables() {
     alias_other_[c] = static_cast<std::uint32_t>(c);
   std::vector<double> scaled(t);
   for (std::size_t c = 0; c < t; ++c)
-    scaled[c] = positive[c].first * static_cast<double>(t) / domain_mass_;
+    scaled[c] = domain[c].first * static_cast<double>(t) / domain_mass;
   std::vector<std::uint32_t> small;
   std::vector<std::uint32_t> large;
   small.reserve(t);
@@ -187,24 +218,12 @@ void DistillationPlan::build_persistent_tables() {
   // Leftovers are 1.0 up to roundoff; they keep their own item.
 }
 
-std::size_t DistillationPlan::candidate_index(double target) const {
-  const auto it =
-      std::upper_bound(cumulative_.begin(), cumulative_.end(), target);
-  // target == tau at roundoff: clamp to the last positive-weight index —
-  // trailing zero-weight items share the final cumulative value but have
-  // row_scale_ == 0, and emitting one would inject a null row the
-  // proposal law assigns probability zero.
-  if (it == cumulative_.end()) return last_positive_;
-  return static_cast<std::size_t>(it - cumulative_.begin());
-}
-
-std::size_t DistillationPlan::propose_candidate_persistent(
-    double u, std::size_t& tail_hits) const {
-  if (tail_items_.empty() || u < p_domain_) {
+std::size_t DistillationPlan::propose_candidate(double u) const {
+  if (u < p_domain_ || tail_cumulative_.empty()) {
     // Rescale the in-domain uniform onto [0, 1) and spend it on the
     // one-uniform alias lookup: integer part picks the cell, fractional
     // part is the cell's keep/alias coin.
-    double v = tail_items_.empty() ? u : u / p_domain_;
+    const double v = u / p_domain_;
     const auto t = static_cast<double>(domain_items_.size());
     double cell_f = v * t;
     auto cell = static_cast<std::size_t>(cell_f);
@@ -217,22 +236,20 @@ std::size_t DistillationPlan::propose_candidate_persistent(
         frac < alias_prob_[cell] ? cell : alias_other_[cell];
     return static_cast<std::size_t>(domain_items_[slot]);
   }
-  // Tail fallback: rescale the remainder onto the compacted exact
-  // cumulative table — same inverse-CDF law as the full-n path,
-  // restricted to [n] \ D.
-  ++tail_hits;
+  // Tail fallback: rescale the remainder onto the tail's exact
+  // cumulative table — the inverse-CDF law restricted to [n] \ D.
   const double rem = (u - p_domain_) / (1.0 - p_domain_);
   const double target = rem * tail_mass_;
-  auto it = std::upper_bound(tail_cumulative_.begin(), tail_cumulative_.end(),
-                             target);
-  if (it == tail_cumulative_.end()) --it;  // target == tail mass at roundoff
-  return static_cast<std::size_t>(
-      tail_items_[static_cast<std::size_t>(it - tail_cumulative_.begin())]);
+  const auto it = std::upper_bound(tail_cumulative_.begin(),
+                                   tail_cumulative_.end(), target);
+  // target == tail mass at roundoff: the last positive-weight tail item.
+  if (it == tail_cumulative_.end()) return last_tail_;
+  return static_cast<std::size_t>(it - tail_cumulative_.begin());
 }
 
 std::unique_ptr<CountingOracle> DistillationPlan::propose(
     RandomStream& rng, std::vector<int>& items, std::vector<double>& scales,
-    PoolStats* pool_stats) const {
+    std::size_t* tail_candidates) const {
   check_arg(k_ > 0,
             "DistillationPlan::propose: k == 0 has no candidate pool "
             "(draw() returns the empty sample without proposing)");
@@ -241,83 +258,25 @@ std::unique_ptr<CountingOracle> DistillationPlan::propose(
   items.reserve(m_);
   scales.reserve(m_);
   std::size_t tail_hits = 0;
-  if (!domain_items_.empty()) {
-    for (std::size_t j = 0; j < m_; ++j) {
-      const std::size_t i = propose_candidate_persistent(rng.uniform(),
-                                                         tail_hits);
-      items.push_back(static_cast<int>(i));
-      scales.push_back(row_scale_[i]);
-    }
-    const std::uint64_t pool_count =
-        pools_.fetch_add(1, std::memory_order_relaxed) + 1;
-    tail_candidates_.fetch_add(tail_hits, std::memory_order_relaxed);
-    const bool heavy = tail_hits > tail_budget_;
-    if (heavy) heavy_tail_pools_.fetch_add(1, std::memory_order_relaxed);
-    if (heavy || (options_.refresh_interval != 0 &&
-                  pool_count % options_.refresh_interval == 0))
-      revalidate_domain();
-    if (pool_stats != nullptr) *pool_stats = {tail_hits, heavy};
-  } else {
-    const double tau = cumulative_.back();
-    for (std::size_t j = 0; j < m_; ++j) {
-      const std::size_t i = candidate_index(rng.uniform() * tau);
-      items.push_back(static_cast<int>(i));
-      scales.push_back(row_scale_[i]);
-    }
-    if (pool_stats != nullptr) *pool_stats = {};
+  for (std::size_t j = 0; j < m_; ++j) {
+    const double u = rng.uniform();
+    if (u >= p_domain_) ++tail_hits;
+    const std::size_t i = propose_candidate(u);
+    items.push_back(static_cast<int>(i));
+    scales.push_back(row_scale_[i]);
   }
+  pools_.fetch_add(1, std::memory_order_relaxed);
+  tail_candidates_.fetch_add(tail_hits, std::memory_order_relaxed);
+  if (tail_candidates != nullptr) *tail_candidates = tail_hits;
   return base_->restrict_to(items, scales);
 }
 
 DistillationPlan::ProposalStats DistillationPlan::proposal_stats()
     const noexcept {
-  return {pools_.load(std::memory_order_relaxed),
-          tail_candidates_.load(std::memory_order_relaxed),
-          heavy_tail_pools_.load(std::memory_order_relaxed),
-          refreshes_.load(std::memory_order_relaxed)};
-}
-
-void DistillationPlan::revalidate_domain() const {
-  if (domain_items_.empty()) return;
-  refreshes_.fetch_add(1, std::memory_order_relaxed);
-  if (failpoint("distill.revalidate"))
-    throw ProposalDriftError(
-        "DistillationPlan: injected revalidation failure "
-        "[failpoint distill.revalidate]");
-  const double tau = cumulative_.back();
-  // Resum the domain mass from the authoritative full-n table (w_i is
-  // the prefix-sum difference, the exact value the tables were built
-  // from) and re-derive the tail mass as the complement.
-  double domain_mass = 0.0;
-  for (const int id : domain_items_) {
-    const auto i = static_cast<std::size_t>(id);
-    const double below = i == 0 ? 0.0 : cumulative_[i - 1];
-    domain_mass += cumulative_[i] - below;
-  }
-  const double tol = 1e-9 * std::max(tau, 1.0);
-  if (std::abs(domain_mass - domain_mass_) > tol)
-    throw ProposalDriftError(
-        "DistillationPlan: sparsified-domain mass drifted from the "
-        "primed value — profile mutated under the plan; rebuild it");
-  if (std::abs((domain_mass_ + tail_mass_) - tau) > tol)
-    throw ProposalDriftError(
-        "DistillationPlan: domain + tail mass no longer sums to tau "
-        "— profile mutated under the plan; rebuild it");
-  // Re-derive the Maclaurin bound from tau and the cached rank bound: the
-  // acceptance test divides by M every pool, so a drifted bound silently
-  // reweights the output law — exactly the failure the refresh rule
-  // exists to catch. (Deliberately NOT re-querying
-  // base_->distillation_profile() here: that is an O(n d) weight
-  // recompute, and revalidation sits on the steady-state hot path.)
-  const double log_m_now =
-      log_binomial(rank_r_, k_) +
-      static_cast<double>(k_) *
-          (std::log(tau) - std::log(static_cast<double>(rank_r_)));
-  if (std::abs(log_m_now - log_m_) >
-      1e-12 * std::max(std::abs(log_m_), 1.0))
-    throw ProposalDriftError(
-        "DistillationPlan: Maclaurin acceptance bound drifted from "
-        "the primed value — profile mutated under the plan");
+  ProposalStats stats;
+  stats.pools = pools_.load(std::memory_order_relaxed);
+  stats.tail_candidates = tail_candidates_.load(std::memory_order_relaxed);
+  return stats;
 }
 
 SampleResult DistillationPlan::draw(RandomStream& rng,
@@ -327,12 +286,10 @@ SampleResult DistillationPlan::draw(RandomStream& rng,
   std::vector<double> scales;
   std::size_t duplicate_rejects = 0;
   std::size_t tail_candidates = 0;
-  std::size_t heavy_tail_pools = 0;
-  PoolStats pool_stats;
   for (std::size_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    const auto restricted = propose(rng, items, scales, &pool_stats);
-    tail_candidates += pool_stats.tail_candidates;
-    heavy_tail_pools += pool_stats.heavy_tail ? 1 : 0;
+    std::size_t pool_tail = 0;
+    const auto restricted = propose(rng, items, scales, &pool_tail);
+    tail_candidates += pool_tail;
     const double log_z = restricted->log_partition();
     // The acceptance uniform is consumed on every attempt (convention in
     // the header), so the stream position after a rejection does not
@@ -364,14 +321,12 @@ SampleResult DistillationPlan::draw(RandomStream& rng,
     }
     result.diag.duplicate_rejects += duplicate_rejects;
     result.diag.tail_candidates += tail_candidates;
-    result.diag.heavy_tail_pools += heavy_tail_pools;
     return result;
   }
   SampleDiagnostics diag;
   diag.proposals = options_.max_attempts;
   diag.duplicate_rejects = duplicate_rejects;
   diag.tail_candidates = tail_candidates;
-  diag.heavy_tail_pools = heavy_tail_pools;
   throw DistillationStarvation(
       "DistillationPlan: no candidate pool accepted within max_attempts "
       "(attempts=" +

@@ -1,8 +1,10 @@
 #include "sampling/session.h"
 
+#include <atomic>
 #include <cstddef>
 #include <exception>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -30,7 +32,7 @@ void RecoveryOptions::validate() const {
             "retry budget never retries (disable recovery instead — "
             "enabling it alone already changes the per-draw stream "
             "protocol)");
-  check_arg(degrade_proposal || degrade_undistilled || degrade_reference,
+  check_arg(degrade_undistilled || degrade_reference,
             "RecoveryOptions::degrade_*: enabled recovery with every "
             "ladder rung disabled can only retry the failing "
             "configuration in place");
@@ -52,9 +54,9 @@ void SessionOptions::validate(std::size_t sample_size) const {
   if (distill.enabled) {
     distill.validate(sample_size);
   } else {
-    check_arg(!distill.persistent_proposal,
-              "DistillOptions::persistent_proposal: set without "
-              "distill.enabled — the persistent proposal only exists "
+    check_arg(distill.sparsified_domain == 0,
+              "DistillOptions::sparsified_domain: set without "
+              "distill.enabled — the sparsified domain only exists "
               "inside the distillation front end and would be silently "
               "ignored");
   }
@@ -73,12 +75,6 @@ SamplerSession::SamplerSession(const CountingOracle& base,
     // serves. The base oracle's caches stay cold (until a recovery rung
     // degrades to the undistilled path, which primes them lazily).
     plan_ = std::make_unique<DistillationPlan>(base, options_.distill);
-    if (options_.recovery.enabled && options_.recovery.degrade_proposal &&
-        options_.distill.persistent_proposal) {
-      DistillOptions perdraw = options_.distill;
-      perdraw.persistent_proposal = false;
-      perdraw_plan_ = std::make_unique<DistillationPlan>(base, perdraw);
-    }
     return;
   }
   ensure_base_primed();
@@ -119,15 +115,14 @@ SampleResult SamplerSession::run(CommittedOracle& state,
   return result;
 }
 
-SampleResult SamplerSession::draw_with_plan(const DistillationPlan& plan,
-                                            RandomStream& rng) const {
+SampleResult SamplerSession::draw_distilled(RandomStream& rng) const {
   // Fresh inner state per accepted pool: the restricted oracle lives only
   // for this draw, and use_commit picks the same commit-vs-reference
   // dispatch as the full-n path — with identical per-family protocols,
   // so the distilled bit-identity contract carries over.
   try {
-    return plan.draw(rng, [this](const CountingOracle& restricted,
-                                 RandomStream& inner_rng) {
+    return plan_->draw(rng, [this](const CountingOracle& restricted,
+                                   RandomStream& inner_rng) {
       const auto state = options_.use_commit
                              ? restricted.make_committed()
                              : make_condition_reference(restricted);
@@ -151,15 +146,13 @@ SampleResult SamplerSession::run_rung(Rung rung,
                                       RandomStream& rng) const {
   switch (rung) {
     case Rung::kConfigured:
-      if (plan_ != nullptr) return draw_with_plan(*plan_, rng);
+      if (plan_ != nullptr) return draw_distilled(rng);
       if (slot == nullptr) {
         slot = make_state();
       } else {
         slot->reset();
       }
       return run(*slot, rng);
-    case Rung::kPerDrawProposal:
-      return draw_with_plan(*perdraw_plan_, rng);
     case Rung::kUndistilled: {
       ensure_base_primed();
       const auto state = make_state();
@@ -180,8 +173,6 @@ SamplerSession::Rung SamplerSession::next_rung(Rung rung) const {
     switch (r) {
       case Rung::kConfigured:
         return true;
-      case Rung::kPerDrawProposal:
-        return rec.degrade_proposal && perdraw_plan_ != nullptr;
       case Rung::kUndistilled:
         return rec.degrade_undistilled && plan_ != nullptr;
       case Rung::kReference:
@@ -199,35 +190,12 @@ SamplerSession::Rung SamplerSession::next_rung(Rung rung) const {
   return rung;  // ladder exhausted: remaining attempts retry in place
 }
 
-void SamplerSession::throw_if_poisoned() const {
-  if (!poisoned_.load(std::memory_order_acquire)) return;
-  std::string reason;
-  {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    reason = poison_reason_;
-  }
-  throw SessionPoisoned("SamplerSession: poisoned (" + reason +
-                        "); rebuild the session");
-}
-
 void SamplerSession::emit(GuardEventKind kind, std::size_t index,
                           std::size_t attempt, std::string detail) const {
   if (!options_.guard_events) return;
-  const std::lock_guard<std::mutex> lock(state_mutex_);
+  const std::lock_guard<std::mutex> lock(sink_mutex_);
   options_.guard_events(
       GuardEvent{kind, index, attempt, std::move(detail)});
-}
-
-void SamplerSession::poison(std::size_t index, std::size_t attempt,
-                            const std::string& reason) {
-  {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    if (!poisoned_.load(std::memory_order_relaxed)) {
-      poison_reason_ = reason;
-      poisoned_.store(true, std::memory_order_release);
-    }
-  }
-  emit(GuardEventKind::kPoisoned, index, attempt, reason);
 }
 
 void SamplerSession::note_success(SampleResult& result, Rung rung,
@@ -242,9 +210,6 @@ void SamplerSession::note_success(SampleResult& result, Rung rung,
   }
   switch (rung) {
     case Rung::kConfigured:
-      break;
-    case Rung::kPerDrawProposal:
-      degraded_proposal_.fetch_add(1, std::memory_order_relaxed);
       break;
     case Rung::kUndistilled:
       degraded_undistilled_.fetch_add(1, std::memory_order_relaxed);
@@ -263,12 +228,6 @@ void SamplerSession::note_failure(std::size_t index, std::size_t attempt,
   } catch (const DistillationStarvation& starved) {
     starvations_.fetch_add(1, std::memory_order_relaxed);
     emit(GuardEventKind::kStarvation, index, attempt, starved.what());
-  } catch (const ProposalDriftError& drift) {
-    proposal_drifts_.fetch_add(1, std::memory_order_relaxed);
-    emit(GuardEventKind::kProposalDrift, index, attempt, drift.what());
-    // An unrecovered drift indicts the shared plan: every future draw
-    // through it would fail identically, so fail them fast and loudly.
-    if (final_failure) poison(index, attempt, drift.what());
   } catch (const std::exception& error_obj) {
     emit(GuardEventKind::kDrawFailure, index, attempt, error_obj.what());
   } catch (...) {
@@ -280,7 +239,6 @@ void SamplerSession::note_failure(std::size_t index, std::size_t attempt,
 SampleResult SamplerSession::draw_indexed(
     std::size_t index, RandomStream& rng,
     std::unique_ptr<CommittedOracle>& slot) {
-  throw_if_poisoned();
   draws_.fetch_add(1, std::memory_order_relaxed);
   // One deterministic-firing scope per draw, keyed by the draw's stream
   // index: an armed failpoint schedule fires as a function of the index
@@ -330,21 +288,9 @@ SampleResult SamplerSession::draw_indexed(
       const Rung next = next_rung(rung);
       if (next != rung) {
         rung = next;
-        GuardEventKind kind = GuardEventKind::kRetry;
-        switch (rung) {
-          case Rung::kPerDrawProposal:
-            kind = GuardEventKind::kDegradeProposal;
-            break;
-          case Rung::kUndistilled:
-            kind = GuardEventKind::kDegradeUndistilled;
-            break;
-          case Rung::kReference:
-            kind = GuardEventKind::kDegradeReference;
-            break;
-          case Rung::kConfigured:
-            break;
-        }
-        emit(kind, index, attempt + 1, "");
+        emit(rung == Rung::kUndistilled ? GuardEventKind::kDegradeUndistilled
+                                        : GuardEventKind::kDegradeReference,
+             index, attempt + 1, "");
       } else {
         emit(GuardEventKind::kRetry, index, attempt + 1, "");
       }
@@ -369,50 +315,46 @@ SampleResult SamplerSession::draw(RandomStream& rng) {
 
 std::vector<SampleResult> SamplerSession::draw_many(
     std::size_t count, RandomStream& rng, const ExecutionContext& ctx) {
-  throw_if_poisoned();
-  std::vector<SampleResult> out(count);
-  const MachineStreams streams(rng);
-  ctx.for_each_chunk(
-      0, count,
-      [&](std::size_t lo, std::size_t hi) {
-        // One committed state per chunk, built lazily by the first
-        // non-distilled configured-rung draw and discarded on failure.
-        std::unique_ptr<CommittedOracle> state;
-        for (std::size_t i = lo; i < hi; ++i) {
-          RandomStream stream = streams.stream(i);
-          out[i] = draw_indexed(i, stream, state);
-        }
-      },
-      /*grain=*/1);
-  return out;
+  DrawBatchOutcome outcome =
+      std::move(dispatch({MachineStreams(rng)}, {count}, ctx).front());
+  if (outcome.error != nullptr) std::rethrow_exception(outcome.error);
+  return std::move(outcome.results);
 }
 
 std::vector<DrawBatchOutcome> SamplerSession::draw_many_batched(
     const std::vector<DrawBatchRequest>& requests,
     const ExecutionContext& ctx) {
-  throw_if_poisoned();
   // Per-request stream forks, each consuming exactly what a standalone
   // `RandomStream rng(seed); draw_many(count, rng, ctx)` would consume
   // (one split of the seeded root stream) — the whole determinism
   // contract lives here.
   std::vector<MachineStreams> streams;
+  std::vector<std::size_t> counts;
   streams.reserve(requests.size());
-  std::size_t total = 0;
+  counts.reserve(requests.size());
   for (const DrawBatchRequest& request : requests) {
     RandomStream root(request.seed);
     streams.emplace_back(root);
-    total += request.count;
+    counts.push_back(request.count);
   }
+  return dispatch(streams, counts, ctx);
+}
+
+std::vector<DrawBatchOutcome> SamplerSession::dispatch(
+    const std::vector<MachineStreams>& streams,
+    const std::vector<std::size_t>& counts, const ExecutionContext& ctx) {
   // Flat index → (request, request-local draw index). The local index is
   // what draw_indexed keys streams, failpoint scopes, and guard events
   // on, so a coalesced draw is indistinguishable from its standalone
   // counterpart.
+  std::size_t total = 0;
+  for (const std::size_t count : counts) total += count;
   std::vector<std::size_t> request_of(total);
   std::vector<std::size_t> local_of(total);
   {
     std::size_t flat = 0;
-    for (std::size_t r = 0; r < requests.size(); ++r) {
-      for (std::size_t i = 0; i < requests[r].count; ++i, ++flat) {
+    for (std::size_t r = 0; r < counts.size(); ++r) {
+      for (std::size_t i = 0; i < counts[r]; ++i, ++flat) {
         request_of[flat] = r;
         local_of[flat] = i;
       }
@@ -421,37 +363,53 @@ std::vector<DrawBatchOutcome> SamplerSession::draw_many_batched(
 
   std::vector<SampleResult> flat_results(total);
   std::vector<std::exception_ptr> flat_errors(total);
+  // Per request, the lowest local index seen to fail so far. A draw above
+  // it is skipped: its request already fails. The lowest failing draw is
+  // never above a recorded failure, so it always runs, and the error a
+  // request reports does not depend on the pool size.
+  std::vector<std::atomic<std::size_t>> first_failure(counts.size());
+  for (auto& failed : first_failure)
+    failed.store(std::numeric_limits<std::size_t>::max(),
+                 std::memory_order_relaxed);
   ctx.for_each_chunk(
       0, total,
       [&](std::size_t lo, std::size_t hi) {
-        // One committed state per chunk, exactly as draw_many: the state
-        // is reset between draws, so sharing it across request
+        // One committed state per chunk, built lazily by the first
+        // non-distilled configured-rung draw and discarded on failure.
+        // The state is reset between draws, so sharing it across request
         // boundaries never leaks one request's conditioning into the
-        // next. Unlike draw_many, a throwing draw is captured per flat
-        // index instead of aborting the chunk — failures must be
-        // isolated to the request that owns them.
+        // next. A throwing draw is captured per flat index instead of
+        // aborting the chunk, so failures stay with the request that owns
+        // them.
         std::unique_ptr<CommittedOracle> state;
         for (std::size_t i = lo; i < hi; ++i) {
+          std::atomic<std::size_t>& failed = first_failure[request_of[i]];
+          if (local_of[i] > failed.load(std::memory_order_relaxed)) continue;
           RandomStream stream = streams[request_of[i]].stream(local_of[i]);
           try {
             flat_results[i] = draw_indexed(local_of[i], stream, state);
           } catch (...) {
             flat_errors[i] = std::current_exception();
+            std::size_t seen = failed.load(std::memory_order_relaxed);
+            while (local_of[i] < seen &&
+                   !failed.compare_exchange_weak(seen, local_of[i],
+                                                 std::memory_order_relaxed)) {
+            }
           }
         }
       },
       /*grain=*/1);
 
-  std::vector<DrawBatchOutcome> outcomes(requests.size());
+  std::vector<DrawBatchOutcome> outcomes(counts.size());
   std::size_t flat = 0;
-  for (std::size_t r = 0; r < requests.size(); ++r) {
+  for (std::size_t r = 0; r < counts.size(); ++r) {
     DrawBatchOutcome& outcome = outcomes[r];
-    for (std::size_t i = 0; i < requests[r].count; ++i, ++flat) {
+    for (std::size_t i = 0; i < counts[r]; ++i, ++flat) {
       if (outcome.error == nullptr && flat_errors[flat] != nullptr)
         outcome.error = flat_errors[flat];
     }
     if (outcome.error == nullptr) {
-      const std::size_t base = flat - requests[r].count;
+      const std::size_t base = flat - counts[r];
       outcome.results.assign(
           std::make_move_iterator(flat_results.begin() +
                                   static_cast<std::ptrdiff_t>(base)),
@@ -467,8 +425,6 @@ SessionHealth SamplerSession::health() const {
   health.draws = draws_.load(std::memory_order_relaxed);
   health.failures = failures_.load(std::memory_order_relaxed);
   health.retries = retries_.load(std::memory_order_relaxed);
-  health.degraded_proposal =
-      degraded_proposal_.load(std::memory_order_relaxed);
   health.degraded_undistilled =
       degraded_undistilled_.load(std::memory_order_relaxed);
   health.degraded_reference =
@@ -476,13 +432,7 @@ SessionHealth SamplerSession::health() const {
   health.spectral_refreshes =
       spectral_refreshes_.load(std::memory_order_relaxed);
   health.starvations = starvations_.load(std::memory_order_relaxed);
-  health.proposal_drifts = proposal_drifts_.load(std::memory_order_relaxed);
   health.session_epoch = epoch_;
-  health.poisoned = poisoned_.load(std::memory_order_acquire);
-  if (health.poisoned) {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    health.poison_reason = poison_reason_;
-  }
   return health;
 }
 

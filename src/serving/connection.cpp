@@ -107,7 +107,7 @@ std::string error_response(const std::exception_ptr& error) {
 
 /// One `key=value` body line per stats counter, plus a
 /// `session.<fingerprint>.*` block per resident session surfacing its
-/// SessionHealth and nonzero per-kind GuardEvent counters.
+/// SessionHealth.
 std::string stats_body(SamplingServer& server) {
   const ServerStats stats = server.stats();
   std::string body;
@@ -130,8 +130,6 @@ std::string stats_body(SamplingServer& server) {
   line("registry.hits", stats.registry.hits);
   line("registry.misses", stats.registry.misses);
   line("registry.evictions", stats.registry.evictions);
-  line("registry.poisoned_replacements",
-       stats.registry.poisoned_replacements);
   for (const auto& [fingerprint, session] : server.registry().snapshot()) {
     const std::string prefix = "session." + fingerprint.to_string() + ".";
     const SessionHealth health = session->session().health();
@@ -139,17 +137,10 @@ std::string stats_body(SamplingServer& server) {
     line(prefix + "draws", health.draws);
     line(prefix + "failures", health.failures);
     line(prefix + "retries", health.retries);
+    line(prefix + "degraded_undistilled", health.degraded_undistilled);
+    line(prefix + "degraded_reference", health.degraded_reference);
     line(prefix + "spectral_refreshes", health.spectral_refreshes);
     line(prefix + "starvations", health.starvations);
-    line(prefix + "proposal_drifts", health.proposal_drifts);
-    line(prefix + "poisoned", health.poisoned ? 1 : 0);
-    const auto guards = session->guard_event_counts();
-    for (std::size_t kind = 0; kind < guards.size(); ++kind) {
-      if (guards[kind] == 0) continue;
-      line(prefix + "guard." +
-               guard_event_kind_name(static_cast<GuardEventKind>(kind)),
-           guards[kind]);
-    }
   }
   return body;
 }

@@ -1,24 +1,16 @@
 // Session registry: long-lived SamplerSessions keyed by kernel
-// fingerprint, with LRU eviction by resident-bytes budget and
-// poisoned-session replacement (DESIGN.md §2 convention 13).
+// fingerprint, with LRU eviction by resident-bytes budget (DESIGN.md §2
+// convention 13).
 //
 // An entry owns its oracle AND its session (the session holds a
-// reference into the oracle, so the pair lives and dies together), plus
-// a per-kind GuardEvent counter array the stats surface reads without
-// taking the session's sink lock. Entries are handed out as shared_ptr:
-// eviction or replacement removes an entry from the registry but
-// in-flight holders keep it alive until their batch drains — an evicted
-// session finishes its work, it is just never handed out again.
-//
-// Poisoned replacement: acquire() on a fingerprint whose resident
-// session is poisoned (SessionHealth::poisoned) builds a fresh entry in
-// place and returns it — clients never receive a poisoned session. The
-// replacement gets a new SessionHealth::session_epoch, which is how
-// consumers holding old health snapshots detect the swap.
+// reference into the oracle, so the pair lives and dies together).
+// Entries are handed out as shared_ptr: eviction removes an entry from
+// the registry but in-flight holders keep it alive until their batch
+// drains — an evicted session finishes its work, it is just never handed
+// out again. A later acquire of the same fingerprint rebuilds it with a
+// new SessionHealth::session_epoch.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -30,21 +22,19 @@
 #include <vector>
 
 #include "distributions/oracle.h"
-#include "sampling/diagnostics.h"
 #include "sampling/session.h"
 #include "serving/fingerprint.h"
 
 namespace pardpp::serving {
 
-/// One registry entry: oracle + primed session + guard-event counters.
-/// Non-movable (the session's guard sink captures `this`).
+/// One registry entry: oracle + primed session. Its counters are the
+/// session's SessionHealth.
 class ServingSession {
  public:
   /// Takes ownership of the oracle; primes the session immediately (so
   /// the construction cost is paid by the acquiring request, once).
-  /// A caller-provided options.guard_events sink is chained after the
-  /// counter update. `resident_bytes` is the caller's cost estimate the
-  /// registry charges against its budget.
+  /// `resident_bytes` is the caller's cost estimate the registry charges
+  /// against its budget.
   ServingSession(std::unique_ptr<CountingOracle> oracle,
                  SessionOptions options, std::size_t resident_bytes);
   ServingSession(const ServingSession&) = delete;
@@ -61,16 +51,10 @@ class ServingSession {
     return resident_bytes_;
   }
 
-  /// Per-kind lifetime GuardEvent counts (indexed by GuardEventKind).
-  [[nodiscard]] std::array<std::uint64_t, kGuardEventKindCount>
-  guard_event_counts() const;
-
  private:
   std::unique_ptr<CountingOracle> oracle_;
   std::size_t resident_bytes_;
-  std::array<std::atomic<std::uint64_t>, kGuardEventKindCount>
-      guard_counts_{};
-  std::unique_ptr<SamplerSession> session_;  // last: references the above
+  std::unique_ptr<SamplerSession> session_;  // last: references the oracle
 };
 
 struct RegistryOptions {
@@ -85,14 +69,13 @@ struct RegistryStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;  ///< cold builds (first acquire of a key)
   std::uint64_t evictions = 0;
-  std::uint64_t poisoned_replacements = 0;
   std::size_t sessions = 0;        ///< resident entries right now
   std::size_t resident_bytes = 0;  ///< sum of resident estimates
 };
 
 class SessionRegistry {
  public:
-  /// Builds the oracle for a cold (or replacement) entry. Called under
+  /// Builds the oracle for a cold entry. Called under
   /// the registry lock: concurrent acquires of the same fingerprint
   /// build once, at the cost of serializing cold builds of *different*
   /// kernels — acceptable for a build that is paid once per kernel.
@@ -102,8 +85,7 @@ class SessionRegistry {
       : options_(options) {}
 
   /// Hit: touches the LRU slot and returns the resident session.
-  /// Poisoned hit: replaces the entry (fresh oracle + session) and
-  /// returns the replacement. Miss: builds, inserts most-recent, then
+  /// Miss: builds, inserts most-recent, then
   /// evicts cold entries until the byte budget holds. Construction
   /// exceptions (oracle factory or session validate/prime) propagate to
   /// the caller and leave the registry unchanged.

@@ -5,6 +5,7 @@
 // ensembles to 1e-10.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -278,32 +279,66 @@ TEST(RestrictToFuzz, SymmetricMatchesFromScratchTo1e10) {
 
 // ---- satellite bugfixes: edge cases of the proposal machinery ----
 
-// Trailing zero-weight items share the final cumulative value with the
-// last positive item; the target == tau roundoff fallback must clamp to
-// the positive index — a zero-weight pick has row_scale_ == 0 and would
-// inject a null row with proposal probability zero.
+// Both roundoff ends of the one-uniform lookup must stay on
+// positive-weight items. Trailing zero-weight items share the tail
+// table's final value with the last positive tail item, so a tail target
+// at the tail mass must clamp to that item — a zero-weight pick has row
+// scale 0 and would inject a null row with proposal probability zero.
+// An alias cell index that rounds up to |D| (v == 1) must clamp to the
+// last cell.
 TEST(DistillationPlanTest, EndRoundoffClampsToLastPositiveWeight) {
   RandomStream setup(771009);
   const std::size_t n = 8;
   const std::size_t d = 3;
   Matrix features = random_gaussian(n, d, setup);
-  // Rows 5..7 are exact zeros: weight 0, cumulative flat at tau.
+  // Rows 5..7 are exact zeros: weight 0, tail table flat at its end.
   for (std::size_t i = 5; i < n; ++i)
     for (std::size_t c = 0; c < d; ++c) features(i, c) = 0.0;
-  double tau = 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t c = 0; c < d; ++c) tau += features(i, c) * features(i, c);
   const FeatureKdppOracle oracle(features, 2);
-  const DistillationPlan plan(oracle, DistillOptions{});
+  const double u_max = std::nextafter(1.0, 0.0);
 
-  // Exactly tau (the roundoff event rng.uniform() * tau == tau) and
-  // anything beyond must resolve to item 4, never to a null row 5..7.
-  EXPECT_EQ(plan.candidate_index(tau), 4u);
-  EXPECT_EQ(plan.candidate_index(std::nextafter(tau, 2.0 * tau)), 4u);
-  // Sanity: interior targets never land on a zero-weight item either.
+  // Domain = the 2 heaviest rows, so u -> 1 resolves in the tail, whose
+  // last positive-weight item is the highest id among rows 0..4 outside
+  // the domain.
+  std::vector<double> weight(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t c = 0; c < d; ++c)
+      weight[i] += features(i, c) * features(i, c);
+  std::vector<std::size_t> by_weight = {0, 1, 2, 3, 4};
+  std::sort(by_weight.begin(), by_weight.end(),
+            [&](std::size_t a, std::size_t b) { return weight[a] > weight[b]; });
+  std::size_t last_tail = 0;
+  for (std::size_t i = 0; i < 5; ++i)
+    if (i != by_weight[0] && i != by_weight[1]) last_tail = i;
+  DistillOptions split;
+  split.sparsified_domain = 2;
+  const DistillationPlan plan(oracle, split);
+  ASSERT_EQ(plan.domain_size(), 2u);
+  ASSERT_LT(plan.domain_mass_fraction(), 1.0);
+  EXPECT_EQ(plan.propose_candidate(u_max), last_tail);
+  EXPECT_EQ(plan.propose_candidate(1.0), last_tail);
+
+  // Full domain (no tail): every u is an alias lookup, and u = 1 makes
+  // v == 1, whose cell index |D| clamps to the last cell.
+  DistillOptions full;
+  full.sparsified_domain = n;
+  const DistillationPlan full_plan(oracle, full);
+  ASSERT_EQ(full_plan.domain_size(), 5u);  // the positive-weight rows
+  ASSERT_EQ(full_plan.domain_mass_fraction(), 1.0);
+  EXPECT_LT(full_plan.propose_candidate(u_max), 5u);
+  EXPECT_LT(full_plan.propose_candidate(1.0), 5u);
+  // A domain size far beyond n covers the same items (and allocates
+  // nothing in proportion to the option).
+  DistillOptions huge;
+  huge.sparsified_domain = std::size_t{1} << 60;
+  EXPECT_EQ(DistillationPlan(oracle, huge).domain_size(), 5u);
+
+  // Sanity: interior uniforms never land on a zero-weight item either.
   RandomStream rng(771010);
-  for (int i = 0; i < 2000; ++i)
-    EXPECT_LT(plan.candidate_index(rng.uniform() * tau), 5u);
+  for (int i = 0; i < 2000; ++i) {
+    EXPECT_LT(plan.propose_candidate(rng.uniform()), 5u);
+    EXPECT_LT(full_plan.propose_candidate(rng.uniform()), 5u);
+  }
 }
 
 // k = 0 plans have no candidate pool: draw() returns the empty sample,
@@ -389,7 +424,7 @@ TEST(SamplerSessionTest, StarvationSurfacesSessionContext) {
   EXPECT_TRUE(starved);
 }
 
-// ---- persistent sparsified proposal (DESIGN.md §2 convention 11) ----
+// ---- sparsified proposal (DESIGN.md §2 convention 11) ----
 
 // The per-candidate law must be exactly q = w / tau whichever side of the
 // domain split serves it: empirical candidate frequencies from the
@@ -411,7 +446,6 @@ TEST(PersistentProposalTest, CandidateLawMatchesWeightsThroughBothLevels) {
   const FeatureKdppOracle oracle(features, 2);
   DistillOptions options;
   options.candidate_budget = 24;
-  options.persistent_proposal = true;
   options.sparsified_domain = 3;
   const DistillationPlan plan(oracle, options);
   ASSERT_EQ(plan.domain_size(), 3u);
@@ -437,12 +471,84 @@ TEST(PersistentProposalTest, CandidateLawMatchesWeightsThroughBothLevels) {
   const auto stats = plan.proposal_stats();
   EXPECT_EQ(stats.pools, static_cast<std::uint64_t>(pools));
   EXPECT_GT(stats.tail_candidates, 0u);  // both levels actually exercised
+
+  // draw() surfaces the tail counter in the per-draw diagnostics.
+  const auto result = plan.draw(
+      rng, [](const CountingOracle& restricted, RandomStream& inner_rng) {
+        return sample_sequential(restricted, inner_rng);
+      });
+  EXPECT_GT(result.diag.tail_candidates, 0u);
 }
 
-// Full output-law exactness of the persistent mode against enumeration,
-// including the pool-size sweep and condition() reference bit-identity
-// that collect_distilled pins — with a small forced domain so draws mix
-// alias and tail candidates.
+// The domain is the |D| heaviest items, ties to the lower id, whatever
+// order the weights arrive in: the streaming selection against a full
+// sort. Integer weights (exact sums) with many ties — tied groups of 3
+// ascending and descending over 200 ids, then random orders of values
+// 1..8 with random |D| — so the domain splits tied groups and the
+// selection cuts its buffer back many times.
+TEST(PersistentProposalTest, DomainIsTheHeaviestItemsUnderAnyIdOrder) {
+  RandomStream setup(771023);
+  const std::size_t d = 3;
+  for (int trial = 0; trial < 32; ++trial) {
+    const std::size_t n =
+        trial < 2 ? 200 : 20 + static_cast<std::size_t>(setup.uniform_index(281));
+    const std::size_t domain =
+        trial < 2 ? 7 : 2 + static_cast<std::size_t>(setup.uniform_index(19));
+    Matrix features(n, d);
+    std::vector<double> weights(n);
+    double tau = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t rank = trial == 0   ? i / 3
+                               : trial == 1 ? (n - 1 - i) / 3
+                                            : setup.uniform_index(8);
+      const double value = 1.0 + static_cast<double>(rank);
+      features(i, i % d) = value;
+      weights[i] = value * value;
+      tau += weights[i];
+    }
+    std::vector<std::size_t> expected(n);
+    for (std::size_t i = 0; i < n; ++i) expected[i] = i;
+    std::sort(expected.begin(), expected.end(),
+              [&](std::size_t a, std::size_t b) {
+                if (weights[a] != weights[b]) return weights[a] > weights[b];
+                return a < b;
+              });
+    expected.resize(domain);
+    std::sort(expected.begin(), expected.end());
+    double domain_mass = 0.0;
+    for (const std::size_t i : expected) domain_mass += weights[i];
+
+    const FeatureKdppOracle oracle(features, 2);
+    DistillOptions options;
+    options.sparsified_domain = domain;
+    const DistillationPlan plan(oracle, options);
+    ASSERT_EQ(plan.domain_size(), domain);
+    const double p_domain = plan.domain_mass_fraction();
+    EXPECT_DOUBLE_EQ(p_domain, domain_mass / tau) << "trial " << trial;
+
+    // Every alias cell keeps its own item with probability >= 1/64 (the
+    // weight ratio), so this grid reaches every domain item.
+    std::vector<std::size_t> alias_hits;
+    const int steps = 100000;
+    for (int s = 0; s < steps; ++s) {
+      const double u = (static_cast<double>(s) + 0.5) / steps;
+      const std::size_t item = plan.propose_candidate(u);
+      const bool in_domain =
+          std::binary_search(expected.begin(), expected.end(), item);
+      ASSERT_EQ(in_domain, u < p_domain) << "trial " << trial << " u " << u;
+      if (u < p_domain) alias_hits.push_back(item);
+    }
+    std::sort(alias_hits.begin(), alias_hits.end());
+    alias_hits.erase(std::unique(alias_hits.begin(), alias_hits.end()),
+                     alias_hits.end());
+    EXPECT_EQ(alias_hits, expected) << "trial " << trial;
+  }
+}
+
+// Full output-law exactness against enumeration with a small forced
+// domain, so draws mix alias and tail candidates — including the
+// pool-size sweep and condition() reference bit-identity that
+// collect_distilled pins.
 TEST(DistilledFeatureStatTest, PersistentProposalMatchesEnumeration) {
   RandomStream setup(771016);
   const std::size_t n = 10;
@@ -458,83 +564,14 @@ TEST(DistilledFeatureStatTest, PersistentProposalMatchesEnumeration) {
 
   SessionOptions options;
   options.distill.enabled = true;
-  options.distill.persistent_proposal = true;
   options.distill.sparsified_domain = 4;
   const auto samples = collect_distilled(oracle, options, 77104, 2400);
   expect_matches(dist, samples);
 }
 
-// The refresh rule's heavy-tail branch: a skewed profile whose domain
-// captures ~98% of the mass leaves ~1.4 expected tail hits per pool
-// (budget 4), so a pool with 5+ tail hits is the rare heavy-tail event —
-// a few percent per pool, certain across 800 — and each one must
-// trigger an immediate re-validation.
-TEST(PersistentProposalTest, HeavyTailPoolsTriggerRevalidation) {
-  RandomStream setup(771017);
-  Matrix features = random_gaussian(40, 3, setup);
-  for (std::size_t i = 0; i < 4; ++i)
-    for (std::size_t c = 0; c < 3; ++c) features(i, c) *= 20.0;
-  const FeatureKdppOracle oracle(features, 2);
-  DistillOptions options;
-  options.candidate_budget = 64;
-  options.persistent_proposal = true;
-  options.sparsified_domain = 4;
-  options.refresh_interval = 0;  // isolate the heavy-tail trigger
-  const DistillationPlan plan(oracle, options);
-  ASSERT_GT(plan.domain_mass_fraction(), 0.9);
-  ASSERT_LT(plan.domain_mass_fraction(), 1.0);
-
-  RandomStream rng(771018);
-  std::vector<int> items;
-  std::vector<double> scales;
-  for (int p = 0; p < 800; ++p) (void)plan.propose(rng, items, scales);
-  const auto stats = plan.proposal_stats();
-  EXPECT_EQ(stats.pools, 800u);
-  EXPECT_GT(stats.tail_candidates, 0u);
-  EXPECT_GT(stats.heavy_tail_pools, 0u);
-  EXPECT_LT(stats.heavy_tail_pools, 100u);  // heavy pools stay rare
-  EXPECT_EQ(stats.refreshes, stats.heavy_tail_pools);  // each revalidated
-
-  // A tiny-domain draw() surfaces the tail counters in the per-draw
-  // diagnostics (nearly every candidate falls back to the tail there).
-  DistillOptions tiny = options;
-  tiny.sparsified_domain = 2;  // = k, the smallest domain validate() admits
-  const DistillationPlan tiny_plan(oracle, tiny);
-  const auto result = tiny_plan.draw(
-      rng, [](const CountingOracle& restricted, RandomStream& inner_rng) {
-        return sample_sequential(restricted, inner_rng);
-      });
-  EXPECT_GT(result.diag.tail_candidates, 0u);
-}
-
-// Periodic refresh: interval 1 re-validates after every pool; the
-// re-validation against an unmutated profile passes and counts.
-TEST(PersistentProposalTest, PeriodicRefreshRevalidatesEveryPool) {
-  RandomStream setup(771019);
-  const Matrix features = random_gaussian(20, 4, setup);
-  const FeatureKdppOracle oracle(features, 2);
-  DistillOptions options;
-  options.candidate_budget = 16;
-  options.persistent_proposal = true;
-  options.sparsified_domain = 20;  // full domain: no heavy-tail noise
-  options.refresh_interval = 1;
-  const DistillationPlan plan(oracle, options);
-  EXPECT_DOUBLE_EQ(plan.domain_mass_fraction(), 1.0);
-
-  RandomStream rng(771020);
-  std::vector<int> items;
-  std::vector<double> scales;
-  for (int p = 0; p < 5; ++p) (void)plan.propose(rng, items, scales);
-  const auto stats = plan.proposal_stats();
-  EXPECT_EQ(stats.pools, 5u);
-  EXPECT_EQ(stats.refreshes, 5u);
-  EXPECT_EQ(stats.heavy_tail_pools, 0u);
-  plan.revalidate_domain();  // direct call is also part of the surface
-  EXPECT_EQ(plan.proposal_stats().refreshes, 6u);
-}
-
-// Adversarial weight profiles through both proposal modes: trailing
-// zeros, a single heavy item, and a near-degenerate spectrum. Every pool
+// Adversarial weight profiles through the auto (covering) domain and a
+// small forced one: trailing zeros, a single heavy item, and a
+// near-degenerate spectrum. Every pool
 // must carry positive row scales, in-range items, and a restricted
 // partition below the Maclaurin bound.
 TEST(PersistentProposalTest, AdversarialProfilesFuzz) {
@@ -557,11 +594,10 @@ TEST(PersistentProposalTest, AdversarialProfilesFuzz) {
           features(i, c) = features(0, c) + 1e-4 * features(i, c);
     }
     const FeatureKdppOracle oracle(features, 2);
-    for (const bool persistent : {false, true}) {
+    for (const std::size_t domain : {std::size_t{0}, std::size_t{4}}) {
       DistillOptions options;
       options.candidate_budget = 24;
-      options.persistent_proposal = persistent;
-      if (persistent) options.sparsified_domain = 4;
+      options.sparsified_domain = domain;
       const DistillationPlan plan(oracle, options);
       for (int pool = 0; pool < 30; ++pool) {
         const auto restricted = plan.propose(rng, items, scales);
@@ -570,8 +606,8 @@ TEST(PersistentProposalTest, AdversarialProfilesFuzz) {
           ASSERT_GE(items[j], 0);
           ASSERT_LT(items[j], static_cast<int>(n));
           ASSERT_GT(scales[j], 0.0) << "null row proposed (profile "
-                                    << profile << ", persistent "
-                                    << persistent << ")";
+                                    << profile << ", domain " << domain
+                                    << ")";
         }
         EXPECT_LE(restricted->log_partition(), plan.log_accept_bound() + 1e-9);
       }
