@@ -23,6 +23,7 @@
 #include "bench_util.h"
 #include "dpp/charpoly_engine.h"
 #include "dpp/ensemble.h"
+#include "dpp/symmetric_oracle.h"
 #include "linalg/cholesky.h"
 #include "linalg/esp.h"
 #include "linalg/factory.h"
@@ -30,6 +31,7 @@
 #include "linalg/pfaffian.h"
 #include "linalg/simd.h"
 #include "linalg/symmetric_eigen.h"
+#include "sampling/session.h"
 #include "support/random.h"
 #include "support/timer.h"
 
@@ -70,7 +72,8 @@ void BM_SymmetricEigenValuesOnly(benchmark::State& state) {
     benchmark::DoNotOptimize(values.back());
   }
 }
-BENCHMARK(BM_SymmetricEigenValuesOnly)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_SymmetricEigenValuesOnly)
+    ->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_SymmetricEigenFull(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -80,7 +83,25 @@ void BM_SymmetricEigenFull(benchmark::State& state) {
     benchmark::DoNotOptimize(eig.vectors(0, 0));
   }
 }
-BENCHMARK(BM_SymmetricEigenFull)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_SymmetricEigenFull)
+    ->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+
+// What a cold serving request pays before its first draw: build the
+// symmetric k-DPP oracle from a dense kernel (validation included, as the
+// wire lowering does) and prime a session on it, which runs the one
+// full eigendecomposition.
+void BM_SymmetricSessionPrime(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Matrix l = psd_fixture(n);
+  for (auto _ : state) {
+    const SymmetricKdppOracle oracle(l, 10);
+    const SamplerSession session(oracle);
+    benchmark::DoNotOptimize(&session);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SymmetricSessionPrime)
+    ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
 // The naive Gram orientation the blocked kernels replace: materialize the
 // transpose, then the generic row-major product.

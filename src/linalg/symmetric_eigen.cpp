@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "parallel/execution.h"
 #include "support/error.h"
 
 namespace pardpp {
@@ -15,170 +14,167 @@ namespace {
 // On exit `z` holds the accumulated orthogonal transformation, `d` the
 // diagonal and `e` the subdiagonal (e[0] unused). Classic tred2. With
 // `want_vectors == false` the transformation is not accumulated.
+// Every O(n^3) loop walks rows of the row-major `z`; where the textbook
+// form runs down a column, its sums become row axpys in the same k order,
+// so each element sees the same floating-point operations in the same
+// order and the output is bit-identical to the textbook form's.
 void tred2(Matrix& z, std::vector<double>& d, std::vector<double>& e,
            bool want_vectors = true) {
-  const int n = static_cast<int>(z.rows());
-  for (int i = n - 1; i >= 1; --i) {
-    const int l = i - 1;
+  const std::size_t n = z.rows();
+  const auto row = [&z](std::size_t r) { return z.row(r).data(); };
+  for (std::size_t i = n - 1; i >= 1; --i) {
+    const std::size_t l = i - 1;
+    double* zi = row(i);
     double h = 0.0;
     double scale = 0.0;
     if (l > 0) {
-      for (int k = 0; k <= l; ++k)
-        scale += std::abs(z(static_cast<std::size_t>(i), static_cast<std::size_t>(k)));
+      for (std::size_t k = 0; k <= l; ++k) scale += std::abs(zi[k]);
       if (scale == 0.0) {
-        e[static_cast<std::size_t>(i)] =
-            z(static_cast<std::size_t>(i), static_cast<std::size_t>(l));
+        e[i] = zi[l];
       } else {
-        for (int k = 0; k <= l; ++k) {
-          auto& zik = z(static_cast<std::size_t>(i), static_cast<std::size_t>(k));
-          zik /= scale;
-          h += zik * zik;
+        for (std::size_t k = 0; k <= l; ++k) {
+          zi[k] /= scale;
+          h += zi[k] * zi[k];
         }
-        double f = z(static_cast<std::size_t>(i), static_cast<std::size_t>(l));
+        double f = zi[l];
         double g = (f >= 0.0 ? -std::sqrt(h) : std::sqrt(h));
-        e[static_cast<std::size_t>(i)] = scale * g;
+        e[i] = scale * g;
         h -= f * g;
-        z(static_cast<std::size_t>(i), static_cast<std::size_t>(l)) = f - g;
-        f = 0.0;
-        for (int j = 0; j <= l; ++j) {
-          z(static_cast<std::size_t>(j), static_cast<std::size_t>(i)) =
-              z(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) / h;
+        zi[l] = f - g;
+        // e[j] = (A u)_j / h: the k <= j half is a dot along row j, the
+        // k > j half is added by the row sweep over k that follows.
+        for (std::size_t j = 0; j <= l; ++j) {
+          z(j, i) = zi[j] / h;
+          const double* zj = row(j);
           g = 0.0;
-          for (int k = 0; k <= j; ++k)
-            g += z(static_cast<std::size_t>(j), static_cast<std::size_t>(k)) *
-                 z(static_cast<std::size_t>(i), static_cast<std::size_t>(k));
-          for (int k = j + 1; k <= l; ++k)
-            g += z(static_cast<std::size_t>(k), static_cast<std::size_t>(j)) *
-                 z(static_cast<std::size_t>(i), static_cast<std::size_t>(k));
-          e[static_cast<std::size_t>(j)] = g / h;
-          f += e[static_cast<std::size_t>(j)] *
-               z(static_cast<std::size_t>(i), static_cast<std::size_t>(j));
+          for (std::size_t k = 0; k <= j; ++k) g += zj[k] * zi[k];
+          e[j] = g;
+        }
+        for (std::size_t k = 1; k <= l; ++k) {
+          const double* zk = row(k);
+          const double uk = zi[k];
+          for (std::size_t j = 0; j < k; ++j) e[j] += zk[j] * uk;
+        }
+        f = 0.0;
+        for (std::size_t j = 0; j <= l; ++j) {
+          e[j] /= h;
+          f += e[j] * zi[j];
         }
         const double hh = f / (h + h);
-        for (int j = 0; j <= l; ++j) {
-          f = z(static_cast<std::size_t>(i), static_cast<std::size_t>(j));
-          g = e[static_cast<std::size_t>(j)] - hh * f;
-          e[static_cast<std::size_t>(j)] = g;
-          for (int k = 0; k <= j; ++k)
-            z(static_cast<std::size_t>(j), static_cast<std::size_t>(k)) -=
-                f * e[static_cast<std::size_t>(k)] +
-                g * z(static_cast<std::size_t>(i), static_cast<std::size_t>(k));
+        for (std::size_t j = 0; j <= l; ++j) {
+          f = zi[j];
+          g = e[j] - hh * f;
+          e[j] = g;
+          double* zj = row(j);
+          for (std::size_t k = 0; k <= j; ++k) zj[k] -= f * e[k] + g * zi[k];
         }
       }
     } else {
-      e[static_cast<std::size_t>(i)] =
-          z(static_cast<std::size_t>(i), static_cast<std::size_t>(l));
+      e[i] = zi[l];
     }
-    d[static_cast<std::size_t>(i)] = h;
+    d[i] = h;
   }
   d[0] = 0.0;
   e[0] = 0.0;
   if (!want_vectors) {
-    for (int i = 0; i < n; ++i)
-      d[static_cast<std::size_t>(i)] =
-          z(static_cast<std::size_t>(i), static_cast<std::size_t>(i));
+    for (std::size_t i = 0; i < n; ++i) d[i] = z(i, i);
     return;
   }
-  for (int i = 0; i < n; ++i) {
-    const int l = i - 1;
-    if (d[static_cast<std::size_t>(i)] != 0.0) {
-      // Applying Householder rotation i to the accumulated transformation:
-      // each column j reads only row i / column i (never written here) and
-      // writes only column j, so the columns are one parallel round. This
-      // is the O(n^3) term of the reduction.
-      const auto rotate_column = [&](std::size_t j) {
-        double g = 0.0;
-        for (int k = 0; k <= l; ++k)
-          g += z(static_cast<std::size_t>(i), static_cast<std::size_t>(k)) *
-               z(static_cast<std::size_t>(k), j);
-        for (int k = 0; k <= l; ++k)
-          z(static_cast<std::size_t>(k), j) -=
-              g * z(static_cast<std::size_t>(k), static_cast<std::size_t>(i));
-      };
-      const ExecutionContext& ctx = linalg_context();
-      if (l >= 127 && ctx.can_fan_out()) {
-        ctx.for_each(0, static_cast<std::size_t>(l + 1), rotate_column);
-      } else {
-        for (int j = 0; j <= l; ++j)
-          rotate_column(static_cast<std::size_t>(j));
+  // Applying Householder transformation i to the accumulated rows 0..i-1:
+  // w = u^T Z as row axpys in k order, then Z[k,:] -= w * z(k,i), where
+  // z(k,i) = u_k / h was stored by the reduction. This is the O(n^3)
+  // term of the reduction.
+  std::vector<double> w(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double* zi = row(i);
+    if (d[i] != 0.0) {
+      std::fill(w.begin(), w.begin() + static_cast<std::ptrdiff_t>(i), 0.0);
+      for (std::size_t k = 0; k < i; ++k) {
+        const double* zk = row(k);
+        const double uk = zi[k];
+        for (std::size_t j = 0; j < i; ++j) w[j] += uk * zk[j];
+      }
+      for (std::size_t k = 0; k < i; ++k) {
+        double* zk = row(k);
+        const double vk = zk[i];
+        for (std::size_t j = 0; j < i; ++j) zk[j] -= w[j] * vk;
       }
     }
-    d[static_cast<std::size_t>(i)] =
-        z(static_cast<std::size_t>(i), static_cast<std::size_t>(i));
-    z(static_cast<std::size_t>(i), static_cast<std::size_t>(i)) = 1.0;
-    for (int j = 0; j <= l; ++j) {
-      z(static_cast<std::size_t>(j), static_cast<std::size_t>(i)) = 0.0;
-      z(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) = 0.0;
+    d[i] = zi[i];
+    zi[i] = 1.0;
+    for (std::size_t j = 0; j < i; ++j) {
+      z(j, i) = 0.0;
+      zi[j] = 0.0;
     }
   }
 }
 
 // Implicit-shift QL iteration on a tridiagonal matrix, accumulating the
-// rotations into the eigenvector matrix `z` when `want_vectors`. Classic
-// tqli.
-void tql2(std::vector<double>& d, std::vector<double>& e, Matrix& z,
+// rotations into `zt` when `want_vectors`. Classic tqli on the transpose:
+// row j of `zt` is eigenvector j, so each rotation combines two rows.
+void tql2(std::vector<double>& dv, std::vector<double>& ev, Matrix& zt,
           bool want_vectors = true) {
-  const int n = static_cast<int>(d.size());
-  for (int i = 1; i < n; ++i) e[static_cast<std::size_t>(i - 1)] = e[static_cast<std::size_t>(i)];
-  e[static_cast<std::size_t>(n - 1)] = 0.0;
+  const int n = static_cast<int>(dv.size());
+  double* const d = dv.data();
+  double* const e = ev.data();
+  for (int i = 1; i < n; ++i) e[i - 1] = e[i];
+  e[n - 1] = 0.0;
   for (int l = 0; l < n; ++l) {
     int iter = 0;
     int m = l;
     do {
       for (m = l; m < n - 1; ++m) {
-        const double dd = std::abs(d[static_cast<std::size_t>(m)]) +
-                          std::abs(d[static_cast<std::size_t>(m + 1)]);
-        if (std::abs(e[static_cast<std::size_t>(m)]) <= 1e-15 * dd) break;
+        const double dd = std::abs(d[m]) + std::abs(d[m + 1]);
+        if (std::abs(e[m]) <= 1e-15 * dd) break;
       }
       if (m != l) {
         check_numeric(iter++ < 64, "tql2: QL iteration failed to converge");
-        double g = (d[static_cast<std::size_t>(l + 1)] - d[static_cast<std::size_t>(l)]) /
-                   (2.0 * e[static_cast<std::size_t>(l)]);
+        double g = (d[l + 1] - d[l]) / (2.0 * e[l]);
         double r = std::hypot(g, 1.0);
-        g = d[static_cast<std::size_t>(m)] - d[static_cast<std::size_t>(l)] +
-            e[static_cast<std::size_t>(l)] / (g + std::copysign(r, g));
+        g = d[m] - d[l] + e[l] / (g + std::copysign(r, g));
         double s = 1.0;
         double c = 1.0;
         double p = 0.0;
         int i = m - 1;
         for (; i >= l; --i) {
-          double f = s * e[static_cast<std::size_t>(i)];
-          const double b = c * e[static_cast<std::size_t>(i)];
+          const double f = s * e[i];
+          const double b = c * e[i];
           r = std::hypot(f, g);
-          e[static_cast<std::size_t>(i + 1)] = r;
+          e[i + 1] = r;
           if (r == 0.0) {
-            d[static_cast<std::size_t>(i + 1)] -= p;
-            e[static_cast<std::size_t>(m)] = 0.0;
+            d[i + 1] -= p;
+            e[m] = 0.0;
             break;
           }
           s = f / r;
           c = g / r;
-          g = d[static_cast<std::size_t>(i + 1)] - p;
-          r = (d[static_cast<std::size_t>(i)] - g) * s + 2.0 * c * b;
+          g = d[i + 1] - p;
+          r = (d[i] - g) * s + 2.0 * c * b;
           p = s * r;
-          d[static_cast<std::size_t>(i + 1)] = g + p;
+          d[i + 1] = g + p;
           g = c * r - b;
           if (want_vectors) {
+            double* zi = zt.row(static_cast<std::size_t>(i)).data();
+            double* zi1 = zt.row(static_cast<std::size_t>(i + 1)).data();
             for (int k = 0; k < n; ++k) {
-              f = z(static_cast<std::size_t>(k), static_cast<std::size_t>(i + 1));
-              z(static_cast<std::size_t>(k), static_cast<std::size_t>(i + 1)) =
-                  s * z(static_cast<std::size_t>(k), static_cast<std::size_t>(i)) + c * f;
-              z(static_cast<std::size_t>(k), static_cast<std::size_t>(i)) =
-                  c * z(static_cast<std::size_t>(k), static_cast<std::size_t>(i)) - s * f;
+              const double t = zi1[k];
+              zi1[k] = s * zi[k] + c * t;
+              zi[k] = c * zi[k] - s * t;
             }
           }
         }
         if (r == 0.0 && i >= l) continue;
-        d[static_cast<std::size_t>(l)] -= p;
-        e[static_cast<std::size_t>(l)] = g;
-        e[static_cast<std::size_t>(m)] = 0.0;
+        d[l] -= p;
+        e[l] = g;
+        e[m] = 0.0;
       }
     } while (m != l);
   }
 }
 
-// Sorts eigenpairs ascending by eigenvalue.
-SymmetricEigen sorted(std::vector<double> d, Matrix z) {
+// Sorts eigenpairs ascending by eigenvalue; row j of `zt` is the
+// eigenvector of d[j].
+SymmetricEigen sorted(std::vector<double> d, const Matrix& zt) {
   const std::size_t n = d.size();
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -189,7 +185,7 @@ SymmetricEigen sorted(std::vector<double> d, Matrix z) {
   out.vectors = Matrix(n, n);
   for (std::size_t j = 0; j < n; ++j) {
     out.values[j] = d[order[j]];
-    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = z(i, order[j]);
+    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = zt(order[j], i);
   }
   return out;
 }
@@ -209,8 +205,10 @@ SymmetricEigen symmetric_eigen(const Matrix& a) {
     return {std::move(d), std::move(z)};
   }
   tred2(z, d, e);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) std::swap(z(i, j), z(j, i));
   tql2(d, e, z);
-  return sorted(std::move(d), std::move(z));
+  return sorted(std::move(d), z);
 }
 
 SymmetricEigen jacobi_eigen(const Matrix& a, int max_sweeps, double tol) {
@@ -256,7 +254,7 @@ SymmetricEigen jacobi_eigen(const Matrix& a, int max_sweeps, double tol) {
   }
   std::vector<double> d(n);
   for (std::size_t i = 0; i < n; ++i) d[i] = m(i, i);
-  return sorted(std::move(d), std::move(v));
+  return sorted(std::move(d), v.transpose());
 }
 
 std::vector<double> symmetric_eigenvalues(const Matrix& a) {
@@ -277,9 +275,9 @@ std::vector<double> symmetric_eigenvalues(const Matrix& a) {
 }
 
 double spectral_norm_symmetric(const Matrix& a) {
-  const auto eigen = symmetric_eigen(a);
   double best = 0.0;
-  for (const double v : eigen.values) best = std::max(best, std::abs(v));
+  for (const double v : symmetric_eigenvalues(a))
+    best = std::max(best, std::abs(v));
   return best;
 }
 

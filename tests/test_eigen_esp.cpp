@@ -1,8 +1,14 @@
-// Tests for the symmetric eigensolvers (tred2/tql2 vs Jacobi), elementary
-// symmetric polynomials, and characteristic-polynomial extraction.
+// Tests for the symmetric eigensolvers (tred2/tql2 vs Jacobi and vs the
+// textbook column-order reference), elementary symmetric polynomials, and
+// characteristic-polynomial extraction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <ostream>
+#include <stdexcept>
 
 #include "linalg/charpoly.h"
 #include "linalg/esp.h"
@@ -10,6 +16,8 @@
 #include "linalg/factory.h"
 #include "linalg/lu.h"
 #include "linalg/symmetric_eigen.h"
+#include "parallel/execution.h"
+#include "parallel/thread_pool.h"
 #include "support/combinatorics.h"
 #include "support/logsum.h"
 #include "support/random.h"
@@ -96,6 +104,284 @@ TEST(Eigen, HandlesZeroAndOneByOne) {
   const auto single = symmetric_eigen(one);
   EXPECT_DOUBLE_EQ(single.values[0], 5.0);
 }
+
+// ---- Bit identity against the textbook column-order tred2/tql2 ----
+
+// Reference: textbook tred2 + tql2 (EISPACK / Numerical Recipes order) on a
+// row-major matrix, walking columns in the Householder accumulation and in
+// every QL rotation. The production solver walks rows with the same
+// floating-point operations per element in the same order, so its output
+// must be memcmp-equal to this, not merely close.
+void reference_tred2(Matrix& z, std::vector<double>& d, std::vector<double>& e,
+                     bool want_vectors) {
+  const int n = static_cast<int>(z.rows());
+  const auto at = [&z](int r, int c) -> double& {
+    return z(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
+  };
+  const auto ve = [](std::vector<double>& v, int i) -> double& {
+    return v[static_cast<std::size_t>(i)];
+  };
+  for (int i = n - 1; i >= 1; --i) {
+    const int l = i - 1;
+    double h = 0.0;
+    double scale = 0.0;
+    if (l > 0) {
+      for (int k = 0; k <= l; ++k) scale += std::abs(at(i, k));
+      if (scale == 0.0) {
+        ve(e, i) = at(i, l);
+      } else {
+        for (int k = 0; k <= l; ++k) {
+          at(i, k) /= scale;
+          h += at(i, k) * at(i, k);
+        }
+        double f = at(i, l);
+        double g = (f >= 0.0 ? -std::sqrt(h) : std::sqrt(h));
+        ve(e, i) = scale * g;
+        h -= f * g;
+        at(i, l) = f - g;
+        f = 0.0;
+        for (int j = 0; j <= l; ++j) {
+          at(j, i) = at(i, j) / h;
+          g = 0.0;
+          for (int k = 0; k <= j; ++k) g += at(j, k) * at(i, k);
+          for (int k = j + 1; k <= l; ++k) g += at(k, j) * at(i, k);
+          ve(e, j) = g / h;
+          f += ve(e, j) * at(i, j);
+        }
+        const double hh = f / (h + h);
+        for (int j = 0; j <= l; ++j) {
+          f = at(i, j);
+          g = ve(e, j) - hh * f;
+          ve(e, j) = g;
+          for (int k = 0; k <= j; ++k)
+            at(j, k) -= f * ve(e, k) + g * at(i, k);
+        }
+      }
+    } else {
+      ve(e, i) = at(i, l);
+    }
+    ve(d, i) = h;
+  }
+  d[0] = 0.0;
+  e[0] = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const int l = i - 1;
+    if (want_vectors && ve(d, i) != 0.0) {
+      for (int j = 0; j <= l; ++j) {
+        double g = 0.0;
+        for (int k = 0; k <= l; ++k) g += at(i, k) * at(k, j);
+        for (int k = 0; k <= l; ++k) at(k, j) -= g * at(k, i);
+      }
+    }
+    ve(d, i) = at(i, i);
+    if (!want_vectors) continue;
+    at(i, i) = 1.0;
+    for (int j = 0; j <= l; ++j) at(j, i) = at(i, j) = 0.0;
+  }
+}
+
+void reference_tql2(std::vector<double>& d, std::vector<double>& e, Matrix& z,
+                    bool want_vectors) {
+  const int n = static_cast<int>(d.size());
+  const auto at = [&z](int r, int c) -> double& {
+    return z(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
+  };
+  const auto ve = [](std::vector<double>& v, int i) -> double& {
+    return v[static_cast<std::size_t>(i)];
+  };
+  for (int i = 1; i < n; ++i) ve(e, i - 1) = ve(e, i);
+  ve(e, n - 1) = 0.0;
+  for (int l = 0; l < n; ++l) {
+    int iter = 0;
+    int m = l;
+    do {
+      for (m = l; m < n - 1; ++m) {
+        const double dd = std::abs(ve(d, m)) + std::abs(ve(d, m + 1));
+        if (std::abs(ve(e, m)) <= 1e-15 * dd) break;
+      }
+      if (m != l) {
+        if (iter++ >= 64)
+          throw std::runtime_error("reference_tql2: no convergence");
+        double g = (ve(d, l + 1) - ve(d, l)) / (2.0 * ve(e, l));
+        double r = std::hypot(g, 1.0);
+        g = ve(d, m) - ve(d, l) + ve(e, l) / (g + std::copysign(r, g));
+        double s = 1.0;
+        double c = 1.0;
+        double p = 0.0;
+        int i = m - 1;
+        for (; i >= l; --i) {
+          double f = s * ve(e, i);
+          const double b = c * ve(e, i);
+          r = std::hypot(f, g);
+          ve(e, i + 1) = r;
+          if (r == 0.0) {
+            ve(d, i + 1) -= p;
+            ve(e, m) = 0.0;
+            break;
+          }
+          s = f / r;
+          c = g / r;
+          g = ve(d, i + 1) - p;
+          r = (ve(d, i) - g) * s + 2.0 * c * b;
+          p = s * r;
+          ve(d, i + 1) = g + p;
+          g = c * r - b;
+          if (!want_vectors) continue;
+          for (int k = 0; k < n; ++k) {
+            f = at(k, i + 1);
+            at(k, i + 1) = s * at(k, i) + c * f;
+            at(k, i) = c * at(k, i) - s * f;
+          }
+        }
+        if (r == 0.0 && i >= l) continue;
+        ve(d, l) -= p;
+        ve(e, l) = g;
+        ve(e, m) = 0.0;
+      }
+    } while (m != l);
+  }
+}
+
+SymmetricEigen reference_eigen(const Matrix& a) {
+  const std::size_t n = a.rows();
+  Matrix z = a;
+  if (n == 1) return {{a(0, 0)}, Matrix::identity(1)};
+  std::vector<double> d(n, 0.0);
+  std::vector<double> e(n, 0.0);
+  reference_tred2(z, d, e, /*want_vectors=*/true);
+  reference_tql2(d, e, z, /*want_vectors=*/true);
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&d](std::size_t x, std::size_t y) { return d[x] < d[y]; });
+  SymmetricEigen out{std::vector<double>(n), Matrix(n, n)};
+  for (std::size_t j = 0; j < n; ++j) {
+    out.values[j] = d[order[j]];
+    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = z(i, order[j]);
+  }
+  return out;
+}
+
+std::vector<double> reference_eigenvalues(const Matrix& a) {
+  const std::size_t n = a.rows();
+  Matrix z = a;
+  if (n == 1) return {a(0, 0)};
+  std::vector<double> d(n, 0.0);
+  std::vector<double> e(n, 0.0);
+  reference_tred2(z, d, e, /*want_vectors=*/false);
+  reference_tql2(d, e, z, /*want_vectors=*/false);
+  std::sort(d.begin(), d.end());
+  return d;
+}
+
+bool same_bits(std::span<const double> x, std::span<const double> y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+enum class Spectrum { kPsd, kRankDeficient, kDiagonal, kZero, kRepeated };
+
+void PrintTo(Spectrum kind, std::ostream* os) {
+  constexpr const char* kNames[] = {"psd", "rank_deficient", "diagonal",
+                                    "zero", "repeated"};
+  *os << kNames[static_cast<int>(kind)];
+}
+
+Matrix eigen_fixture(std::size_t n, Spectrum kind) {
+  RandomStream rng(7000 + n * 8 + static_cast<std::size_t>(kind));
+  switch (kind) {
+    case Spectrum::kPsd:
+      return random_psd(n, n, rng, 1e-4);
+    case Spectrum::kRankDeficient:
+      return random_psd(n, std::max<std::size_t>(1, n / 4), rng, 0.0);
+    case Spectrum::kDiagonal: {
+      std::vector<double> diag(n);
+      for (auto& v : diag) v = rng.uniform() * 2.0;
+      return Matrix::diagonal(std::span<const double>(diag));
+    }
+    case Spectrum::kZero:
+      return Matrix(n, n);
+    case Spectrum::kRepeated: {
+      // Three eigenvalues, each with multiplicity ~n/3.
+      std::vector<double> spectrum(n);
+      for (std::size_t i = 0; i < n; ++i)
+        spectrum[i] = static_cast<double>(i % 3) * 0.75;
+      return kernel_with_spectrum(spectrum, rng);
+    }
+  }
+  return Matrix(n, n);
+}
+
+class EigenRowOrder
+    : public ::testing::TestWithParam<std::tuple<int, Spectrum>> {
+ protected:
+  Matrix input() const {
+    const auto [n, kind] = GetParam();
+    return eigen_fixture(static_cast<std::size_t>(n), kind);
+  }
+};
+
+TEST_P(EigenRowOrder, BitIdenticalToColumnOrderReference) {
+  const Matrix a = input();
+  const auto want = reference_eigen(a);
+  const auto got = symmetric_eigen(a);
+  EXPECT_TRUE(same_bits(got.values, want.values));
+  EXPECT_TRUE(same_bits(got.vectors.flat(), want.vectors.flat()));
+  const auto values = symmetric_eigenvalues(a);
+  EXPECT_TRUE(same_bits(values, reference_eigenvalues(a)));
+  // The eigenvalue-only path yields the full path's spectrum too.
+  EXPECT_TRUE(same_bits(values, got.values));
+  double norm = 0.0;
+  for (const double v : want.values) norm = std::max(norm, std::abs(v));
+  EXPECT_EQ(spectral_norm_symmetric(a), norm);
+}
+
+TEST_P(EigenRowOrder, BitIdenticalAtEveryLinalgPoolSize) {
+  const Matrix a = input();
+  const auto serial = symmetric_eigen(a);
+  const auto serial_values = symmetric_eigenvalues(a);
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    set_linalg_pool(&pool);
+    const auto eig = symmetric_eigen(a);
+    const auto values = symmetric_eigenvalues(a);
+    set_linalg_pool(nullptr);
+    EXPECT_TRUE(same_bits(eig.values, serial.values)) << threads << " threads";
+    EXPECT_TRUE(same_bits(eig.vectors.flat(), serial.vectors.flat()))
+        << threads << " threads";
+    EXPECT_TRUE(same_bits(values, serial_values)) << threads << " threads";
+  }
+}
+
+TEST_P(EigenRowOrder, ReconstructsWithOrthonormalVectors) {
+  const Matrix a = input();
+  const std::size_t n = a.rows();
+  const auto eig = symmetric_eigen(a);
+  Matrix scaled = eig.vectors;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t m = 0; m < n; ++m) scaled(i, m) *= eig.values[m];
+  const Matrix recon = multiply_transposed_b(scaled, eig.vectors);
+  const Matrix vt = eig.vectors.transpose();
+  const Matrix gram = multiply_transposed_b(vt, vt);
+  const double unit_tol = 1e-11 * static_cast<double>(n);
+  const double tol = unit_tol * std::max(1.0, a.max_abs());
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_NEAR(recon(i, j), a(i, j), tol) << "(" << i << "," << j << ")";
+      ASSERT_NEAR(gram(i, j), i == j ? 1.0 : 0.0, unit_tol)
+          << "(" << i << "," << j << ")";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndSpectra, EigenRowOrder,
+    ::testing::Combine(::testing::Values(1, 2, 3, 17, 64, 128, 129, 256),
+                       ::testing::Values(Spectrum::kPsd,
+                                         Spectrum::kRankDeficient,
+                                         Spectrum::kDiagonal, Spectrum::kZero,
+                                         Spectrum::kRepeated)));
 
 // ---- Elementary symmetric polynomials ----
 
