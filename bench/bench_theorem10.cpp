@@ -48,7 +48,8 @@ void depth_scaling() {
 
     PramLedger batch_ledger;
     Timer batch_timer;
-    const auto batch = sample_batched(oracle, rng, &batch_ledger);
+    const auto batch = sample_batched(oracle, rng,
+                                      ExecutionContext::serial(&batch_ledger));
     const double batch_ms = batch_timer.millis();
 
     const double bound = 2.0 * std::sqrt(static_cast<double>(k)) + 2.0;

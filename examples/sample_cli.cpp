@@ -200,11 +200,14 @@ int run_dpp(const CliOptions& options, const Matrix& l) {
         result = sample_sequential(*oracle, rng, &ledger);
         break;
       case SamplerKind::kEntropic:
-        result = sample_entropic(*oracle, rng, &ledger);
+        result = sample_entropic(*oracle, rng,
+                                 ExecutionContext::serial(&ledger));
         break;
       case SamplerKind::kBatched:
-        result = symmetric ? sample_batched(*oracle, rng, &ledger)
-                           : sample_entropic(*oracle, rng, &ledger);
+        result = symmetric ? sample_batched(*oracle, rng,
+                                            ExecutionContext::serial(&ledger))
+                           : sample_entropic(*oracle, rng,
+                                             ExecutionContext::serial(&ledger));
         break;
     }
     std::printf("sample %d (depth %.0f): ", trial,

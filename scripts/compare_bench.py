@@ -75,14 +75,9 @@ NON_IDENTITY_FIELDS = set(TIME_FIELDS) | set(HOST_FIELDS) | {
     "identical",
     "regression",
     "full_estimated",
-    "depth",
-    "work",
-    "machines",
     "rounds",
-    "oracle_calls",
     "pram_depth",
     "queries_per_wave",
-    "q_per_wave",
     # Session failure/recovery counters (convention 12): informational
     # health telemetry, all zero unless a PARDPP_FAILPOINTS schedule was
     # armed for the run — never part of a record's identity.

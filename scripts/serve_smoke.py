@@ -3,11 +3,12 @@
 
 Drives the daemon over its length-prefixed stdin/stdout protocol and
 asserts the response-status taxonomy, coalescing/registry counters, and
-per-seed determinism. Four daemon instances:
+per-seed determinism. Five daemon instances:
 
  1. The happy path: sample draws (deterministic per seed, registry hit
     on the second request), a stats snapshot, a malformed verb (status
-    1), an invalid request (status 3) — then a clean shutdown, exit 0.
+    1), an invalid request (status 3) whose error body names no absolute
+    path — then a clean shutdown, exit 0.
  2. The pipelined path: 24 frames in one write before any reply is
     read — two kernels alternating, a malformed frame, a `stats` frame
     mid-stream. Replies must come back in request order with the
@@ -20,11 +21,13 @@ per-seed determinism. Four daemon instances:
     and the draws are chi-square-tested against det(L_S) enumerated
     here — cells with expected count below 5 pooled, the Wilson–Hilferty
     threshold at z = 4, as bench_largescale does.
- 4. The framing-error path: an oversize declared length is
+ 4. Non-finite sampler caps (`batched.extra_log_cap=nan` & co.) answer
+    status 3 at once, naming the field, and the connection keeps serving.
+ 5. The framing-error path: an oversize declared length is
     unrecoverable — the daemon answers status 1 and exits 2.
 
 Runs under the CI fault-injection leg too: the canned scoped schedule
-is law-invariant (recoverable guard events only), so every phase still
+is law-invariant (recoverable guard trips only), so every phase still
 draws successfully and phase 3's law still holds.
 """
 
@@ -36,6 +39,7 @@ import signal
 import struct
 import subprocess
 import sys
+import time
 
 
 def frame(payload: str) -> bytes:
@@ -99,7 +103,7 @@ def sample_lines(body: str):
     return [l for l in body.splitlines() if l.startswith("sample=")]
 
 
-def kernel_request(seed, count, off_diagonal="0.3"):
+def kernel_request(seed, count, off_diagonal="0.3", k=2, config=None):
     # Diagonally dominant symmetric 6x6 kernel: SymmetricKdppOracle.
     rows = []
     for i in range(6):
@@ -108,8 +112,9 @@ def kernel_request(seed, count, off_diagonal="0.3"):
         )
     return (
         "sample\n"
-        f"seed={seed}\ncount={count}\nk=2\nkind=kernel\n"
-        "matrix=" + ";".join(rows) + "\n"
+        f"seed={seed}\ncount={count}\nk={k}\nkind=kernel\n"
+        + (f"config={config}\n" if config else "")
+        + "matrix=" + ";".join(rows) + "\n"
     )
 
 
@@ -215,6 +220,11 @@ def phase_happy_path(binary):
         "sample\nk=99\nmatrix=" + kernel_request(1, 1).split("matrix=")[1]
     )
     assert status == 3, (status, body)  # k exceeds ground size
+    # Error bodies name the source relative to the repository root and
+    # never leak the build host's absolute paths.
+    error = parse_kv(body)["error"]
+    assert "src/" in error, body
+    assert not re.search(r"(^|[\s:=])/", error), body
 
     status, body = daemon.request("shutdown\n")
     assert status == 0, (status, body)
@@ -291,6 +301,31 @@ def phase_law_over_the_wire(binary):
           f"(chi2 {statistic:.1f}, dof {dof}, threshold {threshold:.1f})")
 
 
+def phase_non_finite_caps(binary):
+    daemon = Daemon(binary)
+    for config, field in (
+        ("batched.extra_log_cap=nan", "extra_log_cap"),
+        ("kind=entropic,entropic.cap_multiplier=nan", "cap_multiplier"),
+        ("kind=entropic,entropic.log_ratio_cap=inf", "log_ratio_cap"),
+    ):
+        # A non-finite cap once reached the machine-count cast: the
+        # daemon hung or spun for a minute. It must fail validation at
+        # once, and the same connection must keep serving.
+        start = time.monotonic()
+        status, body = daemon.request(
+            kernel_request(seed=5, count=1, k=3, config=config))
+        elapsed = time.monotonic() - start
+        assert status == 3, (config, status, body)
+        assert field in body, (config, body)
+        assert elapsed < 5.0, f"{config}: status 3 took {elapsed:.2f} s"
+        status, body = daemon.request(kernel_request(seed=5, count=1))
+        assert status == 0, (config, status, body)
+    status, body = daemon.request("shutdown\n")
+    assert status == 0, (status, body)
+    assert daemon.close() == 0
+    print("phase 4 (non-finite sampler caps -> status 3 at once): ok")
+
+
 def phase_framing_error(binary):
     daemon = Daemon(binary)
     # Declared length 0xffffffff: beyond kMaxFrameBytes, unrecoverable.
@@ -300,7 +335,7 @@ def phase_framing_error(binary):
     assert status == 1, (status, body)
     code = daemon.close()
     assert code == 2, f"framing error should exit 2, got {code}"
-    print("phase 4 (unrecoverable framing error -> exit 2): ok")
+    print("phase 5 (unrecoverable framing error -> exit 2): ok")
 
 
 def main():
@@ -313,6 +348,7 @@ def main():
     phase_happy_path(binary)
     phase_pipelined(binary)
     phase_law_over_the_wire(binary)
+    phase_non_finite_caps(binary)
     phase_framing_error(binary)
     print("serve smoke: all phases ok")
     return 0

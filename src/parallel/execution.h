@@ -55,7 +55,7 @@ class ExecutionContext {
   ExecutionContext(ThreadPool* pool, PramLedger* ledger) noexcept
       : pool_(pool), ledger_(ledger) {}
 
-  /// Serial context (the default for the legacy ledger-only entry points).
+  /// Serial context (the default execution parameter of every sampler).
   [[nodiscard]] static ExecutionContext serial(
       PramLedger* ledger = nullptr) noexcept {
     return {nullptr, ledger};

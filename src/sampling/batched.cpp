@@ -150,6 +150,9 @@ SampleResult sample_batched_on(CommittedOracle& state, RandomStream& rng,
     config.log_cap = static_cast<double>(t) * static_cast<double>(t) /
                          static_cast<double>(k) +
                      options.extra_log_cap;
+    check_arg(std::isfinite(config.log_cap),
+              "sample_batched_on: round log_cap must be finite "
+              "(check extra_log_cap)");
     // Prop. 25: C log(1/delta') machines boost acceptance to 1 - delta'.
     const double machines_needed =
         std::exp(config.log_cap) * std::log(1.0 / delta_round) * 2.0 + 8.0;
@@ -182,12 +185,6 @@ SampleResult sample_batched(const CountingOracle& mu, RandomStream& rng,
                             const BatchedOptions& options) {
   const auto state = mu.make_committed();
   return sample_batched_on(*state, rng, ctx, options);
-}
-
-SampleResult sample_batched(const CountingOracle& mu, RandomStream& rng,
-                            PramLedger* ledger,
-                            const BatchedOptions& options) {
-  return sample_batched(mu, rng, ExecutionContext::serial(ledger), options);
 }
 
 }  // namespace pardpp

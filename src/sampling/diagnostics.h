@@ -1,61 +1,12 @@
-// Result/diagnostics structs shared by all samplers, plus the unified
-// GuardEvent channel every SamplerSession degradation/retry/guard event
-// flows through (DESIGN.md §2 convention 12).
+// Result/diagnostics structs shared by all samplers.
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "parallel/pram.h"
 
 namespace pardpp {
-
-/// What a SamplerSession guard event reports.
-enum class GuardEventKind {
-  kDrawFailure,         ///< an attempt threw a typed error (detail = what())
-  kRetry,               ///< re-attempting on the same ladder rung
-  kDegradeUndistilled,  ///< ladder: distilled → full-n path
-  kDegradeReference,    ///< ladder: commit → condition() reference
-  kSpectralRefresh,     ///< a draw paid eigensolve fallbacks (detail = count)
-  kStarvation,          ///< DistillationStarvation surfaced
-};
-
-[[nodiscard]] constexpr const char* guard_event_kind_name(
-    GuardEventKind kind) noexcept {
-  switch (kind) {
-    case GuardEventKind::kDrawFailure:
-      return "draw_failure";
-    case GuardEventKind::kRetry:
-      return "retry";
-    case GuardEventKind::kDegradeUndistilled:
-      return "degrade_undistilled";
-    case GuardEventKind::kDegradeReference:
-      return "degrade_reference";
-    case GuardEventKind::kSpectralRefresh:
-      return "spectral_refresh";
-    case GuardEventKind::kStarvation:
-      return "starvation";
-  }
-  return "unknown";
-}
-
-/// One recovery/degradation/guard event from a SamplerSession draw.
-/// `draw_index` is the draw's stream index (draw_many position, or the
-/// serial draw ordinal), `attempt` the 0-based recovery attempt it
-/// happened on.
-struct GuardEvent {
-  GuardEventKind kind;
-  std::size_t draw_index = 0;
-  std::size_t attempt = 0;
-  std::string detail;
-};
-
-/// Observer for GuardEvents. Invoked under a session-internal mutex
-/// (events from concurrent draw_many chunks arrive serialized); keep it
-/// cheap and do not re-enter the session from inside it.
-using GuardEventSink = std::function<void(const GuardEvent&)>;
 
 /// Counters describing one sampler execution.
 struct SampleDiagnostics {

@@ -81,6 +81,9 @@ SampleResult sample_entropic_on(CommittedOracle& state, RandomStream& rng,
     } else {
       config.log_cap = options.log_ratio_cap;
     }
+    check_arg(std::isfinite(config.log_cap),
+              "sample_entropic_on: round log_cap must be finite (check "
+              "log_ratio_cap, alpha, cap_multiplier, cap_slack)");
     const double machines_needed =
         std::exp(std::min(config.log_cap, 18.0)) *
             std::log(1.0 / delta_round) * 2.0 +
@@ -124,12 +127,6 @@ SampleResult sample_entropic(const CountingOracle& mu, RandomStream& rng,
                              const EntropicOptions& options) {
   const auto state = mu.make_committed();
   return sample_entropic_on(*state, rng, ctx, options);
-}
-
-SampleResult sample_entropic(const CountingOracle& mu, RandomStream& rng,
-                             PramLedger* ledger,
-                             const EntropicOptions& options) {
-  return sample_entropic(mu, rng, ExecutionContext::serial(ledger), options);
 }
 
 }  // namespace pardpp

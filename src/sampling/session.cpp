@@ -1,6 +1,7 @@
 #include "sampling/session.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <exception>
 #include <iterator>
@@ -43,13 +44,25 @@ void SessionOptions::validate(std::size_t sample_size) const {
             "BatchedOptions::machine_cap: must be positive");
   check_arg(batched.failure_prob > 0.0 && batched.failure_prob < 1.0,
             "BatchedOptions::failure_prob: must lie in (0, 1)");
+  check_arg(std::isfinite(batched.extra_log_cap),
+            "BatchedOptions::extra_log_cap: must be finite");
   check_arg(entropic.machine_cap != 0,
             "EntropicOptions::machine_cap: must be positive");
   check_arg(entropic.failure_prob > 0.0 && entropic.failure_prob < 1.0,
             "EntropicOptions::failure_prob: must lie in (0, 1)");
   check_arg(entropic.c > 0.0, "EntropicOptions::c: must be positive");
-  check_arg(entropic.alpha > 0.0,
-            "EntropicOptions::alpha: must be positive");
+  check_arg(entropic.alpha > 0.0 && std::isfinite(entropic.alpha),
+            "EntropicOptions::alpha: must be positive and finite");
+  check_arg(std::isfinite(entropic.cap_multiplier),
+            "EntropicOptions::cap_multiplier: must be finite");
+  check_arg(std::isfinite(entropic.cap_slack),
+            "EntropicOptions::cap_slack: must be finite");
+  check_arg(std::isnan(entropic.log_ratio_cap) ||
+                std::isfinite(entropic.log_ratio_cap),
+            "EntropicOptions::log_ratio_cap: must be finite (or NaN for "
+            "the Lemma 36 cap)");
+  check_arg(std::isfinite(entropic.beta),
+            "EntropicOptions::beta: must be finite");
   recovery.validate();
   if (distill.enabled) {
     distill.validate(sample_size);
@@ -190,24 +203,13 @@ SamplerSession::Rung SamplerSession::next_rung(Rung rung) const {
   return rung;  // ladder exhausted: remaining attempts retry in place
 }
 
-void SamplerSession::emit(GuardEventKind kind, std::size_t index,
-                          std::size_t attempt, std::string detail) const {
-  if (!options_.guard_events) return;
-  const std::lock_guard<std::mutex> lock(sink_mutex_);
-  options_.guard_events(
-      GuardEvent{kind, index, attempt, std::move(detail)});
-}
-
 void SamplerSession::note_success(SampleResult& result, Rung rung,
-                                  std::size_t attempt, std::size_t index) {
+                                  std::size_t attempt) {
   result.diag.recovery_retries = attempt;
   result.diag.degradation_level = static_cast<std::size_t>(rung);
-  if (result.diag.spectral_refreshes > 0) {
+  if (result.diag.spectral_refreshes > 0)
     spectral_refreshes_.fetch_add(result.diag.spectral_refreshes,
                                   std::memory_order_relaxed);
-    emit(GuardEventKind::kSpectralRefresh, index, attempt,
-         std::to_string(result.diag.spectral_refreshes) + " refresh(es)");
-  }
   switch (rung) {
     case Rung::kConfigured:
       break;
@@ -220,18 +222,14 @@ void SamplerSession::note_success(SampleResult& result, Rung rung,
   }
 }
 
-void SamplerSession::note_failure(std::size_t index, std::size_t attempt,
-                                  const std::exception_ptr& error,
+void SamplerSession::note_failure(const std::exception_ptr& error,
                                   bool final_failure) {
   try {
     std::rethrow_exception(error);
-  } catch (const DistillationStarvation& starved) {
+  } catch (const DistillationStarvation&) {
     starvations_.fetch_add(1, std::memory_order_relaxed);
-    emit(GuardEventKind::kStarvation, index, attempt, starved.what());
-  } catch (const std::exception& error_obj) {
-    emit(GuardEventKind::kDrawFailure, index, attempt, error_obj.what());
   } catch (...) {
-    emit(GuardEventKind::kDrawFailure, index, attempt, "unknown exception");
+    // Every other failure counts only toward failures_, below.
   }
   if (final_failure) failures_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -252,14 +250,13 @@ SampleResult SamplerSession::draw_indexed(
   if (!options_.recovery.enabled) {
     try {
       SampleResult result = run_rung(Rung::kConfigured, slot, rng);
-      note_success(result, Rung::kConfigured, 0, index);
+      note_success(result, Rung::kConfigured, 0);
       return result;
     } catch (...) {
       // Failure atomicity: the chunk state may be mid-run; discard it so
       // the next draw rebuilds from the shared caches.
       slot.reset();
-      note_failure(index, 0, std::current_exception(),
-                   /*final_failure=*/true);
+      note_failure(std::current_exception(), /*final_failure=*/true);
       throw;
     }
   }
@@ -276,31 +273,22 @@ SampleResult SamplerSession::draw_indexed(
     RandomStream attempt_rng = attempts.stream(attempt);
     try {
       SampleResult result = run_rung(rung, slot, attempt_rng);
-      note_success(result, rung, attempt, index);
+      note_success(result, rung, attempt);
       return result;
     } catch (const Error&) {
       slot.reset();
       last = std::current_exception();
       const bool more = attempt < budget;
-      note_failure(index, attempt, last, /*final_failure=*/!more);
+      note_failure(last, /*final_failure=*/!more);
       if (!more) break;
       retries_.fetch_add(1, std::memory_order_relaxed);
-      const Rung next = next_rung(rung);
-      if (next != rung) {
-        rung = next;
-        emit(rung == Rung::kUndistilled ? GuardEventKind::kDegradeUndistilled
-                                        : GuardEventKind::kDegradeReference,
-             index, attempt + 1, "");
-      } else {
-        emit(GuardEventKind::kRetry, index, attempt + 1, "");
-      }
+      rung = next_rung(rung);
     } catch (...) {
       // Non-pardpp exceptions (std::bad_alloc & co.) never consume the
       // retry budget: the ladder is for the library's typed failure
       // model, not for conditions recovery cannot reason about.
       slot.reset();
-      note_failure(index, attempt, std::current_exception(),
-                   /*final_failure=*/true);
+      note_failure(std::current_exception(), /*final_failure=*/true);
       throw;
     }
   }
@@ -344,9 +332,8 @@ std::vector<DrawBatchOutcome> SamplerSession::dispatch(
     const std::vector<MachineStreams>& streams,
     const std::vector<std::size_t>& counts, const ExecutionContext& ctx) {
   // Flat index → (request, request-local draw index). The local index is
-  // what draw_indexed keys streams, failpoint scopes, and guard events
-  // on, so a coalesced draw is indistinguishable from its standalone
-  // counterpart.
+  // what draw_indexed keys streams and failpoint scopes on, so a coalesced
+  // draw is indistinguishable from its standalone counterpart.
   std::size_t total = 0;
   for (const std::size_t count : counts) total += count;
   std::vector<std::size_t> request_of(total);

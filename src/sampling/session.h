@@ -29,9 +29,10 @@
 // → condition() reference), every attempt
 // consuming a private stream forked from the draw's stream by attempt
 // index — so recovered draws remain a function of the seed alone, at
-// every pool size. All retry/degradation/guard activity is observable
-// through the GuardEvent sink and the lifetime counters `health()`
-// returns.
+// every pool size. All retry/degradation/guard activity is recorded in
+// the lifetime counters `health()` returns and, per draw, in the
+// SampleDiagnostics fields recovery_retries, degradation_level and
+// spectral_refreshes.
 #pragma once
 
 #include <array>
@@ -133,9 +134,6 @@ struct SessionOptions {
   EntropicOptions entropic;
   /// Per-draw retry/degradation policy (convention 12).
   RecoveryOptions recovery;
-  /// Optional observer of retry/degradation/guard events; see
-  /// GuardEventSink for the invocation contract.
-  GuardEventSink guard_events;
 
   /// Whole-config validation, called at SamplerSession construction so a
   /// bad config fails fast with a typed InvalidArgument naming the field
@@ -260,13 +258,9 @@ class SamplerSession {
       const std::vector<std::size_t>& counts, const ExecutionContext& ctx);
   [[nodiscard]] Rung next_rung(Rung rung) const;
   void ensure_base_primed() const;
-  void note_success(SampleResult& result, Rung rung, std::size_t attempt,
-                    std::size_t index);
-  /// Classifies a failed attempt into counters/events.
-  void note_failure(std::size_t index, std::size_t attempt,
-                    const std::exception_ptr& error, bool final_failure);
-  void emit(GuardEventKind kind, std::size_t index, std::size_t attempt,
-            std::string detail) const;
+  void note_success(SampleResult& result, Rung rung, std::size_t attempt);
+  /// Classifies a failed attempt into the lifetime counters.
+  void note_failure(const std::exception_ptr& error, bool final_failure);
 
   const CountingOracle* base_;
   SessionOptions options_;
@@ -275,7 +269,7 @@ class SamplerSession {
   std::unique_ptr<DistillationPlan> plan_;  // non-null iff distill.enabled
   mutable std::once_flag base_primed_;  // rungs 1/2 of a distilled session
 
-  std::atomic<std::uint64_t> serial_index_{0};  // draw() scope/event index
+  std::atomic<std::uint64_t> serial_index_{0};  // draw() failpoint scope index
   std::atomic<std::uint64_t> draws_{0};
   std::atomic<std::uint64_t> failures_{0};
   std::atomic<std::uint64_t> retries_{0};
@@ -283,7 +277,6 @@ class SamplerSession {
   std::atomic<std::uint64_t> degraded_reference_{0};
   std::atomic<std::uint64_t> spectral_refreshes_{0};
   std::atomic<std::uint64_t> starvations_{0};
-  mutable std::mutex sink_mutex_;  // serializes guard_events calls
 };
 
 }  // namespace pardpp

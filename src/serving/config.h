@@ -17,8 +17,6 @@
 // (bit-exact round trip); booleans as 0/1; the sampler kind by its
 // sampler_kind_name. `parse` accepts any subset of keys over defaults
 // and throws InvalidArgument naming an unknown key or unparsable value.
-// The one non-POD SessionOptions member, the guard_events sink, is
-// process-local and deliberately outside the text surface.
 #pragma once
 
 #include <cstddef>

@@ -265,7 +265,7 @@ namespace {
 // Eagerly constructs the registry so a PARDPP_FAILPOINTS schedule arms
 // at load time, not at the first probe.
 [[maybe_unused]] const bool kFailpointsLoaded =
-    (FailpointRegistry::instance(), true);
+    (static_cast<void>(FailpointRegistry::instance()), true);
 }  // namespace
 
 }  // namespace pardpp

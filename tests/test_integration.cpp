@@ -107,7 +107,8 @@ TEST(Integration, SubdivisionOverNonDeterminantalOracle) {
       });
   std::vector<std::vector<int>> samples;
   for (int i = 0; i < 15000; ++i)
-    samples.push_back(sample_entropic(oracle, rng, nullptr, options).items);
+    samples.push_back(sample_entropic(oracle, rng, ExecutionContext::serial(),
+                                      options).items);
   EXPECT_LT(testing::empirical_tv(exact, samples), 0.05);
 }
 
@@ -167,7 +168,8 @@ TEST(Integration, LedgerDepthOrdering) {
   PramLedger seq_ledger;
   PramLedger batch_ledger;
   const auto seq = sample_sequential(oracle, rng, &seq_ledger);
-  const auto batch = sample_batched(oracle, rng, &batch_ledger);
+  const auto batch = sample_batched(oracle, rng,
+                                    ExecutionContext::serial(&batch_ledger));
   EXPECT_EQ(seq.items.size(), k);
   EXPECT_EQ(batch.items.size(), k);
   EXPECT_GT(seq_ledger.stats().depth, batch_ledger.stats().depth);

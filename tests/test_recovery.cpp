@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -115,12 +114,6 @@ TEST_F(RecoveryTest, CommitPivotWithRecoveryDegradesToReference) {
   const SymmetricKdppOracle oracle(l, 3);
   SessionOptions options;
   options.recovery.enabled = true;
-  std::vector<GuardEvent> events;
-  std::mutex events_mutex;
-  options.guard_events = [&](const GuardEvent& event) {
-    const std::lock_guard<std::mutex> lock(events_mutex);
-    events.push_back(event);
-  };
   SamplerSession session(oracle, options);
   RandomStream rng(99102);
   arm("symmetric.commit.pivot=prob:1");
@@ -132,16 +125,6 @@ TEST_F(RecoveryTest, CommitPivotWithRecoveryDegradesToReference) {
   EXPECT_EQ(health.failures, 0u);
   EXPECT_EQ(health.retries, 1u);
   EXPECT_EQ(health.degraded_reference, 1u);
-  bool saw_failure = false;
-  bool saw_degrade = false;
-  for (const GuardEvent& event : events) {
-    saw_failure = saw_failure || event.kind == GuardEventKind::kDrawFailure;
-    saw_degrade =
-        saw_degrade || event.kind == GuardEventKind::kDegradeReference;
-    EXPECT_EQ(event.draw_index, 0u);
-  }
-  EXPECT_TRUE(saw_failure);
-  EXPECT_TRUE(saw_degrade);
 }
 
 TEST_F(RecoveryTest, CommitPivotRecoveredLawIsExactAndPoolIdentical) {

@@ -110,7 +110,8 @@ TEST(BatchedSampler, RoundCountRespectsProposition28) {
   // the exp(t^2/k) cap) at the same k.
   const UniformKSubsetOracle uniform(512, 256);
   PramLedger ledger;
-  const auto result = sample_batched(uniform, rng, &ledger);
+  const auto result = sample_batched(uniform, rng,
+                                     ExecutionContext::serial(&ledger));
   EXPECT_EQ(result.items.size(), 256u);
   const double bound = 2.0 * std::sqrt(256.0) + 2.0;
   // Each batch consumes one marginals round and one proposal round.
@@ -142,7 +143,8 @@ TEST(BatchedSampler, OversizedBatchesCollapseOnHardInstance) {
   options.max_batch = 32;       // batch = k >> sqrt(k)
   options.machine_cap = 2000;   // bounded budget
   options.extra_log_cap = 30.0; // even a huge cap cannot save it
-  EXPECT_THROW((void)sample_batched(oracle, rng, nullptr, options),
+  EXPECT_THROW((void)sample_batched(oracle, rng, ExecutionContext::serial(),
+                                    options),
                SamplingFailure);
 }
 
@@ -154,7 +156,7 @@ TEST(BatchedSampler, MachineCapFailureInjection) {
   bool failed = false;
   for (int attempt = 0; attempt < 200 && !failed; ++attempt) {
     try {
-      (void)sample_batched(oracle, rng, nullptr, options);
+      (void)sample_batched(oracle, rng, ExecutionContext::serial(), options);
     } catch (const SamplingFailure&) {
       failed = true;
     }
@@ -212,7 +214,8 @@ TEST(EntropicSampler, SubdivisionPathDistribution) {
   options.beta = 0.5;
   std::vector<std::vector<int>> samples;
   for (int i = 0; i < 20000; ++i)
-    samples.push_back(sample_entropic(oracle, rng, nullptr, options).items);
+    samples.push_back(sample_entropic(oracle, rng, ExecutionContext::serial(),
+                                      options).items);
   EXPECT_LT(empirical_tv(exact, samples), 0.05);
 }
 
@@ -232,7 +235,8 @@ TEST(EntropicSampler, HardInstanceNeedsLargeCap) {
   options.cap_slack = 4.0;  // covers the n/k pair-ratio at this scale
   std::vector<std::vector<int>> samples;
   for (int i = 0; i < 20000; ++i)
-    samples.push_back(sample_entropic(oracle, rng, nullptr, options).items);
+    samples.push_back(sample_entropic(oracle, rng, ExecutionContext::serial(),
+                                      options).items);
   EXPECT_LT(empirical_tv(exact, samples), 0.05);
 }
 
@@ -242,7 +246,8 @@ TEST(EntropicSampler, BatchExponentControlsBatchSize) {
   EntropicOptions options;
   options.c = 0.25;
   PramLedger ledger;
-  const auto result = sample_entropic(oracle, rng, &ledger, options);
+  const auto result =
+      sample_entropic(oracle, rng, ExecutionContext::serial(&ledger), options);
   EXPECT_EQ(result.items.size(), 256u);
   // l = floor(256^{0.25}) = 4; rounds ~ k / l = 64 (plus shrink effects),
   // much more than 2 sqrt(k) = 32 but far less than k.

@@ -141,6 +141,83 @@ TEST(ServingValidate, SessionConstructionValidatesEagerly) {
   EXPECT_THROW(SamplerSession(oracle, options), InvalidArgument);
 }
 
+TEST(ServingValidate, NonFiniteSamplerCapsAreRejectedNamingTheField) {
+  // A NaN/inf cap used to reach the machine-count cast (UB): the daemon
+  // then hung or spun for a minute instead of answering status 3.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto expect_rejected = [](const SessionOptions& options,
+                                  const std::string& field) {
+    try {
+      options.validate();
+      FAIL() << "expected InvalidArgument for " << field;
+    } catch (const InvalidArgument& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+    }
+  };
+  for (const double bad : {nan, inf, -inf}) {
+    SessionOptions options;
+    options.batched.extra_log_cap = bad;
+    expect_rejected(options, "extra_log_cap");
+    options = {};
+    options.entropic.alpha = bad;
+    expect_rejected(options, "alpha");
+    options = {};
+    options.entropic.cap_multiplier = bad;
+    expect_rejected(options, "cap_multiplier");
+    options = {};
+    options.entropic.cap_slack = bad;
+    expect_rejected(options, "cap_slack");
+    options = {};
+    options.entropic.beta = bad;
+    expect_rejected(options, "beta");
+  }
+  // log_ratio_cap: NaN is the "use Lemma 36" sentinel, infinities are not.
+  SessionOptions options;
+  options.entropic.log_ratio_cap = nan;
+  EXPECT_NO_THROW(options.validate());
+  options.entropic.log_ratio_cap = inf;
+  expect_rejected(options, "log_ratio_cap");
+  options.entropic.log_ratio_cap = -inf;
+  expect_rejected(options, "log_ratio_cap");
+
+  // Over the wire, the bad key fails at lowering, before any dispatch.
+  RandomStream setup(616019);
+  SampleRequest request;
+  request.k = 3;
+  request.count = 1;
+  request.matrix = random_psd(6, 6, setup, 1e-3);
+  request.config = "batched.extra_log_cap=nan";
+  EXPECT_THROW((void)serving::make_server_request(request), InvalidArgument);
+  request.config = "kind=entropic,entropic.cap_multiplier=nan";
+  EXPECT_THROW((void)serving::make_server_request(request), InvalidArgument);
+  request.config = "kind=entropic,entropic.log_ratio_cap=inf";
+  EXPECT_THROW((void)serving::make_server_request(request), InvalidArgument);
+
+  // Direct library callers bypass validate(): the samplers check the
+  // round cap themselves.
+  const SymmetricKdppOracle oracle(test_kernel(616020, 8), 3);
+  RandomStream rng(616021);
+  BatchedOptions batched;
+  batched.extra_log_cap = nan;
+  EXPECT_THROW((void)sample_batched(oracle, rng, ExecutionContext::serial(),
+                                    batched),
+               InvalidArgument);
+  EntropicOptions entropic;
+  entropic.max_batch = 2;  // a batch of 1 needs no cap at all
+  entropic.cap_multiplier = nan;
+  EXPECT_THROW((void)sample_entropic(oracle, rng, ExecutionContext::serial(),
+                                     entropic),
+               InvalidArgument);
+  entropic = {};
+  entropic.max_batch = 2;
+  entropic.log_ratio_cap = inf;
+  EXPECT_THROW((void)sample_entropic(oracle, rng, ExecutionContext::serial(),
+                                     entropic),
+               InvalidArgument);
+}
+
 // ---- canonical config text (tentpole: unified config facade) ----
 
 TEST(ServingConfigText, SessionConfigRoundTripsByteExactly) {
