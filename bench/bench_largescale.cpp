@@ -155,8 +155,8 @@ bool exactness_block(JsonSeries& json) {
       {JsonSeries::text("experiment", "largescale_exactness"),
        JsonSeries::text("mode", mode), JsonSeries::number("n", n),
        JsonSeries::number("d", d), JsonSeries::number("k", k),
-       JsonSeries::number("trials", trials),
-       JsonSeries::number("chi_square", chi.statistic, 2),
+       JsonSeries::number("trials", trials)},
+      {JsonSeries::number("chi_square", chi.statistic, 2),
        JsonSeries::number("dof", chi.dof, 0),
        JsonSeries::text("identical", identical ? "yes" : "no"),
        JsonSeries::boolean("regression", !chi.ok || !identical)});
@@ -372,8 +372,8 @@ bool steady_state_block(JsonSeries& json) {
          JsonSeries::text("family", "feature"),
          JsonSeries::text("profile", profile),
          JsonSeries::text("mode", "persistent"), JsonSeries::number("n", n),
-         JsonSeries::number("d", d), JsonSeries::number("k", k),
-         JsonSeries::number("prime_ms", point.prime_ms, 3),
+         JsonSeries::number("d", d), JsonSeries::number("k", k)},
+        {JsonSeries::number("prime_ms", point.prime_ms, 3),
          JsonSeries::number("steady_draw_ms", point.steady_draw_ms, 4),
          JsonSeries::number("accept_rate", point.accept_rate, 3),
          JsonSeries::number("p_domain", point.p_domain, 4),
@@ -462,8 +462,8 @@ bool spanning_tree_block(JsonSeries& json) {
        JsonSeries::text("graph", "grid8x8"),
        JsonSeries::number("edges", big.num_edges()),
        JsonSeries::number("k", big.num_vertices() - 1),
-       JsonSeries::number("trials", trials),
-       JsonSeries::number("chi_square", chi.statistic, 2),
+       JsonSeries::number("trials", trials)},
+      {JsonSeries::number("chi_square", chi.statistic, 2),
        JsonSeries::number("prime_ms", prime_ms, 3),
        JsonSeries::number("draw_ms", draw_ms, 4),
        JsonSeries::number("draws_per_sec", draws_per_sec, 1),
@@ -514,8 +514,8 @@ int main() {
         {JsonSeries::text("experiment", "largescale_distill"),
          JsonSeries::text("family", "feature"),
          JsonSeries::number("n", point.n), JsonSeries::number("d", d),
-         JsonSeries::number("k", k),
-         JsonSeries::number("prime_ms", point.prime_ms, 3),
+         JsonSeries::number("k", k)},
+        {JsonSeries::number("prime_ms", point.prime_ms, 3),
          JsonSeries::number("draw_ms", point.draw_ms, 4),
          JsonSeries::number("accept_rate", point.accept_rate, 3),
          JsonSeries::number("full_prime_ms", point.full_prime_ms, 3),

@@ -285,8 +285,8 @@ void record_kernel(JsonSeries& json, bench::Table& table,
   json.add_record(
       {JsonSeries::text("experiment", "linalg_micro"),
        JsonSeries::text("kernel", kernel), JsonSeries::number("n", n),
-       JsonSeries::number("d", d),
-       JsonSeries::number("wall_ms", timing.dispatched_ms, 6),
+       JsonSeries::number("d", d)},
+      {JsonSeries::number("wall_ms", timing.dispatched_ms, 6),
        JsonSeries::number("scalar_ms", timing.scalar_ms, 6),
        JsonSeries::number("speedup", reported, 1),
        JsonSeries::boolean("regression", regression)});

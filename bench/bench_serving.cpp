@@ -193,8 +193,8 @@ int main() {
          JsonSeries::number("k", config.k),
          JsonSeries::number("requests", config.requests),
          JsonSeries::number("draws_per_request", config.draws_per_request),
-         JsonSeries::number("pool", pool_size),
-         JsonSeries::number("wall_ms", serve_ms, 3),
+         JsonSeries::number("pool", pool_size)},
+        {JsonSeries::number("wall_ms", serve_ms, 3),
          JsonSeries::number("persession_wall_ms", persession_ms, 3),
          JsonSeries::number("draws_per_sec", serve_dps, 1),
          JsonSeries::number("persession_draws_per_sec", persession_dps, 1),

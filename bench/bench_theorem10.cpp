@@ -198,8 +198,8 @@ void thread_scaling() {
     json.add_record(
         {JsonSeries::text("experiment", "theorem10_thread_sweep"),
          JsonSeries::number("k", k), JsonSeries::number("n", n),
-         JsonSeries::number("pool", point.pool_size),
-         JsonSeries::number("wall_ms", point.wall_ms, 3),
+         JsonSeries::number("pool", point.pool_size)},
+        {JsonSeries::number("wall_ms", point.wall_ms, 3),
          JsonSeries::number("speedup", speedup, 1),
          JsonSeries::number("pram_depth", point.pram.depth / repeats, 2),
          JsonSeries::number("queries_per_wave",

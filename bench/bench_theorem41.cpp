@@ -170,8 +170,8 @@ int main() {
         {JsonSeries::text("experiment", "theorem41_thread_sweep"),
          JsonSeries::number("n", n4),
          JsonSeries::number("sigma", sigma4, 3),
-         JsonSeries::number("pool", point.pool_size),
-         JsonSeries::number("wall_ms", point.wall_ms, 3),
+         JsonSeries::number("pool", point.pool_size)},
+        {JsonSeries::number("wall_ms", point.wall_ms, 3),
          JsonSeries::number("speedup", speedup, 1),
          JsonSeries::number("rounds", rounds),
          JsonSeries::text("identical", point.identical ? "yes" : "no"),

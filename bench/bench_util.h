@@ -184,9 +184,14 @@ std::vector<SweepPoint> run_thread_sweep(int repeats, SampleFn&& sample) {
   return points;
 }
 
-/// Accumulates flat records and writes them as a JSON array — the
+/// Accumulates records and writes them as a JSON array — the
 /// machine-readable counterpart of one printed table (BENCH_*.json), so
-/// the speedup trajectory can be tracked across PRs.
+/// the speedup trajectory can be tracked across PRs. Each record states
+/// the role of its fields: the top-level fields are its identity
+/// (experiment, family, n, k, pool, ...), the nested `"measure"` object
+/// holds what the run measured, and the nested `"host"` object the host
+/// stamp. scripts/compare_bench.py pairs records by identity and gates
+/// the measures whose names end in `_ms`, so it keeps no field list.
 class JsonSeries {
  public:
   using Field = std::pair<std::string, std::string>;
@@ -213,22 +218,15 @@ class JsonSeries {
     return {std::move(key), std::move(quoted)};
   }
 
-  /// Every record is stamped with the host provenance fields, so cross-PR
-  /// comparisons (scripts/compare_bench.py) can tell a code regression
-  /// from a host change: wall-clock deltas measured on different hardware
-  /// are advisory, not gating.
-  void add_record(const std::vector<Field>& fields) {
-    std::string record = "  {";
-    bool first = true;
-    const auto emit = [&](const Field& field) {
-      if (!first) record += ", ";
-      first = false;
-      record += "\"" + field.first + "\": " + field.second;
-    };
-    for (const Field& field : fields) emit(field);
-    for (const Field& field : host_fields()) emit(field);
-    record += "}";
-    records_.push_back(std::move(record));
+  /// One record: `identity` pairs it with the same record of another run,
+  /// `measures` are what this run observed. The host stamp lets the
+  /// comparator tell a code regression from a host change: wall-clock
+  /// deltas measured on different hardware are advisory, not gating.
+  void add_record(const std::vector<Field>& identity,
+                  const std::vector<Field>& measures) {
+    records_.push_back("  {" + members(identity) + ", \"measure\": {" +
+                       members(measures) + "}, \"host\": {" +
+                       members(host_fields()) + "}}");
   }
 
   /// Writes `path` ("BENCH_<name>.json") and reports where.
@@ -285,6 +283,15 @@ class JsonSeries {
       return out;
     }();
     return fields;
+  }
+
+  static std::string members(const std::vector<Field>& fields) {
+    std::string out;
+    for (const Field& field : fields) {
+      if (!out.empty()) out += ", ";
+      out += "\"" + field.first + "\": " + field.second;
+    }
+    return out;
   }
 
   std::vector<std::string> records_;

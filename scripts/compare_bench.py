@@ -1,33 +1,41 @@
 #!/usr/bin/env python3
 """Perf-trajectory comparator for BENCH_*.json series.
 
-Every bench emits a JSON array of flat records into bench-out/. Records
-are matched between a baseline and a current run by their *identity*
-fields (experiment, family, n, d, k, pool, ...) — everything that is not
-a measurement — and the wall-time measurement fields of matching records
-are compared as ratios:
+Every bench emits a JSON array of records into bench-out/
+(bench/bench_util.h JsonSeries). A record states the role of its fields:
+
+    top-level fields   identity (experiment, family, n, d, k, pool, ...)
+    "measure": {...}   what the run measured
+    "host": {...}      the host stamp (CPU counts and model, SIMD arm)
+
+Records are matched between a baseline and a current run by identity,
+and the measures whose names end in `_ms` — the wall times — of matching
+records are compared as ratios:
 
     ratio = current / baseline
     ratio > 1 + warn_threshold  -> warning  (::warning in GitHub Actions)
     ratio > 1 + fail_threshold  -> failure  (exit 1, ::error)
 
 Faster-than-baseline records and records present on only one side are
-reported informationally. `--advisory` downgrades failures to warnings —
-the mode for comparing against the in-repo BENCH_trajectory.json
-snapshot, which is recorded on a different machine class than the CI
-runners.
+reported informationally. When both records carry a host stamp and the
+stamps differ, fail-level slowdowns are downgraded to warnings: wall
+clocks measured on different hardware, or on a different SIMD dispatch
+arm, are advisory, not evidence of a code regression. `--advisory`
+downgrades every failure to a warning — the mode for comparing against
+the in-repo BENCH_trajectory.json snapshot, which is recorded on a
+different machine class than the CI runners.
 
 Parallel scaling is a first-class trajectory metric: records that carry
 a `pool` identity field are grouped by identity-minus-pool, each pool's
 speedup over the group's pool-1 record is computed from `wall_ms`, and
 the speedups are compared between baseline and current. A scaling drop
-beyond the thresholds gates — but only when `host_cpus` agree on both
-sides; speedups measured on different core counts are never comparable,
-so a mismatch downgrades the drop to advisory.
+beyond the thresholds gates only when both sides carry the same host
+stamp; speedups measured on different hosts are never comparable, so
+anything else downgrades the drop to advisory.
 
 Snapshot mode (`--write-snapshot FILE DIR`) curates the trajectory file
-tracked in-repo: identity fields plus wall-time measurements, sorted by
-key, so the diff of a PR shows exactly which timings moved.
+tracked in-repo: identity, the wall-time measures and the host stamp,
+sorted by key, so the diff of a PR shows exactly which timings moved.
 """
 
 import argparse
@@ -35,70 +43,29 @@ import json
 import os
 import sys
 
-# Measurement fields: compared as timings (lower is better) when present.
-TIME_FIELDS = (
-    "wall_ms",
-    "scalar_ms",
-    "draw_ms",
-    "steady_draw_ms",
-    "prime_ms",
-    "full_draw_ms",
-    "full_prime_ms",
-    "condition_baseline_ms",
-    "persession_wall_ms",
-)
 
-# Host provenance fields stamped into every record by bench_util.h.
-# Never identity (a runner change must not orphan every record), but
-# consulted when gating: a mismatch between baseline and current host
-# downgrades fail-level slowdowns to warnings, because wall-clock deltas
-# measured on different hardware are advisory, not evidence of a code
-# regression. `simd` (the dispatch arm the run selected) is provenance
-# for the same reason: a scalar-forced run is not comparable to an AVX2
-# run, so a cross-arm pair is treated exactly like a host change.
-HOST_FIELDS = ("host_cpus", "host_nproc", "host_cpu_model", "simd")
+def identity_of(record):
+    """-> the record's identity: every top-level field but measure/host."""
+    return tuple(
+        sorted(
+            (field, value)
+            for field, value in record.items()
+            if field not in ("measure", "host")
+        )
+    )
 
-# Fields that are measurements or run-dependent flags, never identity.
-NON_IDENTITY_FIELDS = set(TIME_FIELDS) | set(HOST_FIELDS) | {
-    "spectral_refreshes",
-    "samples_per_sec",
-    "speedup",
-    "speedup_vs_condition",
-    "draw_speedup_vs_full",
-    "draws_per_sec",
-    "p_domain",
-    "tail_rate",
-    "law_ok",
-    "accept_rate",
-    "chi_square",
-    "dof",
-    "identical",
-    "regression",
-    "full_estimated",
-    "rounds",
-    "pram_depth",
-    "queries_per_wave",
-    # Session failure/recovery counters (convention 12): informational
-    # health telemetry, all zero unless a PARDPP_FAILPOINTS schedule was
-    # armed for the run — never part of a record's identity.
-    "retries",
-    "degraded_draws",
-    "guard_failures",
-    # Serving-layer telemetry (convention 13, EXP-SRV): batch shapes and
-    # registry counters are measurements of one run's scheduling, never
-    # identity — two runs of the same config may batch differently.
-    "speedup_vs_persession",
-    "persession_draws_per_sec",
-    "batches",
-    "coalesced_per_batch",
-    "max_coalesced",
-    "queue_peak",
-    "sessions",
-}
+
+def wall_times(record):
+    """-> {name: value} of the record's measures whose names end in _ms."""
+    return {
+        field: value
+        for field, value in record.get("measure", {}).items()
+        if field.endswith("_ms")
+    }
 
 
 def load_records(directory):
-    """-> {(file, identity-key): {field: value}} for all BENCH_*.json."""
+    """-> {(file, identity): record} for all BENCH_*.json."""
     records = {}
     if not os.path.isdir(directory):
         return records
@@ -113,38 +80,23 @@ def load_records(directory):
             print(f"::warning::could not parse {path}: {error}")
             continue
         for record in series:
-            identity = tuple(
-                sorted(
-                    (field, value)
-                    for field, value in record.items()
-                    if field not in NON_IDENTITY_FIELDS
-                )
-            )
-            records[(name, identity)] = record
+            records[(name, identity_of(record))] = record
     return records
 
 
 def host_mismatch(base, record):
-    """True when both records carry a host field and they disagree."""
-    return any(
-        field in base and field in record
-        and str(base[field]) != str(record[field])
-        for field in HOST_FIELDS
-    )
+    """True when both records carry a host stamp and the stamps differ."""
+    return "host" in base and "host" in record and base["host"] != record["host"]
 
 
-def cpus_match(base, record):
-    """True only when both records agree on host_cpus.
+def same_host(base, record):
+    """True only when both records carry the same host stamp.
 
     Stricter than `not host_mismatch`: parallel-scaling comparisons need
-    a positively matching core count to gate, so a record missing the
-    stamp (pre-provenance snapshots) stays advisory rather than gating
-    against an unknown baseline topology.
+    a positively matching host to gate, so a record missing the stamp
+    stays advisory rather than gating against an unknown topology.
     """
-    return (
-        "host_cpus" in base and "host_cpus" in record
-        and str(base["host_cpus"]) == str(record["host_cpus"])
-    )
+    return "host" in base and "host" in record and base["host"] == record["host"]
 
 
 def scaling_speedups(records):
@@ -164,7 +116,7 @@ def scaling_speedups(records):
                 pool = value
             else:
                 rest.append((field, value))
-        if pool is None or "wall_ms" not in record:
+        if pool is None or "wall_ms" not in record.get("measure", {}):
             continue
         try:
             pool = int(pool)
@@ -176,13 +128,13 @@ def scaling_speedups(records):
         reference = by_pool.get(1)
         if reference is None:
             continue
-        ref_wall = float(reference["wall_ms"])
+        ref_wall = float(reference["measure"]["wall_ms"])
         if ref_wall <= 0.0:
             continue
         for pool, record in by_pool.items():
             if pool == 1:
                 continue
-            wall = float(record["wall_ms"])
+            wall = float(record["measure"]["wall_ms"])
             if wall <= 0.0:
                 continue
             speedups[(name, rest, pool)] = (ref_wall / wall, record)
@@ -207,13 +159,12 @@ def compare_scaling(baseline, current, warn, fail, advisory):
             f"{name} [{fields}] scaling@pool={pool}: "
             f"{base_speedup:.2f}x -> {cur_speedup:.2f}x"
         )
-        comparable = cpus_match(base_record, cur_record)
         if cur_speedup < base_speedup * (1.0 - fail):
-            if not comparable:
+            if not same_host(base_record, cur_record):
                 warnings += 1
                 print(
                     "::warning::scaling drop beyond fail threshold "
-                    f"(host_cpus differ: advisory): {line}"
+                    f"(hosts differ: advisory): {line}"
                 )
             else:
                 failures += 1
@@ -252,11 +203,12 @@ def compare(baseline_dir, current_dir, warn, fail, advisory):
             continue
         base = baseline[key]
         mismatch = host_mismatch(base, record)
-        for field in TIME_FIELDS:
-            if field not in record or field not in base:
+        base_times = wall_times(base)
+        for field, cur_value in sorted(wall_times(record).items()):
+            if field not in base_times:
                 continue
-            base_value = float(base[field])
-            cur_value = float(record[field])
+            base_value = float(base_times[field])
+            cur_value = float(cur_value)
             if base_value <= 0.0:
                 continue
             matched += 1
@@ -308,11 +260,9 @@ def write_snapshot(path, directory):
         return 1
     snapshot = []
     for (name, identity), record in sorted(records.items()):
-        entry = {"file": name}
-        entry.update({field: value for field, value in identity})
-        for field in HOST_FIELDS + TIME_FIELDS:
-            if field in record:
-                entry[field] = record[field]
+        entry = {"file": name, **dict(identity), "measure": wall_times(record)}
+        if "host" in record:
+            entry["host"] = record["host"]
         snapshot.append(entry)
     with open(path, "w") as handle:
         json.dump(snapshot, handle, indent=1, sort_keys=True)

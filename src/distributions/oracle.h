@@ -246,17 +246,6 @@ class CommittedOracle : public CountingOracle {
   /// Number of elements committed since construction / the last reset.
   [[nodiscard]] virtual std::size_t committed_count() const = 0;
 
-  /// log P[T ⊆ S] of the *base* distribution for the committed prefix T —
-  /// the mass of the run so far, maintained incrementally by families
-  /// that carry a committed factorization (the symmetric family's
-  /// base-prefix Cholesky). NaN when the family does not track it (the
-  /// default) or the tracking was disabled by a numerically borderline
-  /// block; tests compare it against the base oracle's from-scratch
-  /// log_joint_marginal.
-  [[nodiscard]] virtual double log_committed_mass() const {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-
   /// Number of full spectral (eigensolve) refreshes this state has paid
   /// since construction — the fallback counter of factorization-native
   /// commit paths (DESIGN.md §2 convention 9). Zero for families that

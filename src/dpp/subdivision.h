@@ -53,9 +53,6 @@ class SubdividedOracle final : public CountingOracle {
     return origin_[static_cast<std::size_t>(c)];
   }
 
-  /// Copies per current base element.
-  [[nodiscard]] std::span<const int> copy_counts() const { return copies_; }
-
   [[nodiscard]] const CountingOracle& base() const { return *base_; }
 
  private:

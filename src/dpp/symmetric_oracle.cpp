@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "dpp/ensemble.h"
@@ -324,13 +323,13 @@ std::unique_ptr<ConditionalState> SymmetricKdppOracle::make_conditional_state()
 // ---- the commit path (DESIGN.md §2 conventions 7 and 9) ----
 //
 // One long-lived conditional: `commit(batch)` folds the accepted batch
-// into the state in place — the batch's bordered Cholesky rows are
-// appended to the persistent factors, the conditional ensemble is updated
-// by the half-solve Schur complement on reused buffers, and the counting
-// caches are refreshed *factor-natively*: the power-trace / diagonal-
-// moment basis is downdated through the accepted block's factor
-// (BlockMomentProbe), e_j recovered by Newton's identities, and the
-// marginal vector by the adjugate expansion — no per-round eigensolve.
+// into the state in place — the batch's elimination block is factored
+// once, the conditional ensemble is updated by the half-solve Schur
+// complement on reused buffers, and the counting caches are refreshed
+// *factor-natively*: the power-trace / diagonal-moment basis is
+// downdated through the accepted block's factor (BlockMomentProbe), e_j
+// recovered by Newton's identities, and the marginal vector by the
+// adjugate expansion — no per-round eigensolve.
 // Cancellation monitors ride every quantity; a guard trip (or eliminated-
 // row drift past its bound) forces one spectral refresh, which also
 // reseeds the basis from the clamped spectrum. Until the first commit
@@ -341,7 +340,6 @@ class SymmetricKdppOracle::Committed final : public CommittedOracle {
  public:
   explicit Committed(const SymmetricKdppOracle& base)
       : base_(&base), k_cur_(base.k_) {
-    base_chol_.reserve(base.k_);
     reset();
   }
 
@@ -376,31 +374,6 @@ class SymmetricKdppOracle::Committed final : public CommittedOracle {
           elim_chol_.append(std::span<const double>(row_.data(), r + 1)),
           "commit: conditioning on a probability-zero event");
     }
-    // Grow the committed base-prefix factor (chol of L_base[T, T], one
-    // bordered row per accepted element, in commit order). Kept behind
-    // commit_prefix() so log_committed_mass() stays O(1); a numerically
-    // borderline block only disables the diagnostic, never the commit.
-    if (base_ok_) {
-      const Matrix& lb = base_->l_;
-      for (std::size_t r = 0; r < tsize && base_ok_; ++r) {
-        const auto br = static_cast<std::size_t>(
-            ids_[static_cast<std::size_t>(batch[r])]);
-        row_.resize(base_chol_.size() + 1);
-        for (std::size_t c = 0; c < committed_ids_.size(); ++c)
-          row_[c] = lb(br, static_cast<std::size_t>(committed_ids_[c]));
-        for (std::size_t c = 0; c < r; ++c)
-          row_[committed_ids_.size() + c] =
-              lb(br, static_cast<std::size_t>(
-                         ids_[static_cast<std::size_t>(batch[c])]));
-        row_[base_chol_.size()] = lb(br, br);
-        base_ok_ = base_chol_.append(row_);
-      }
-      if (base_ok_) {
-        base_chol_.commit_prefix();
-      } else {
-        base_chol_.truncate();  // drop this batch's partial rows
-      }
-    }
     // Stage the factor-native moment downdate against the pre-commit
     // ensemble (the probe reads `src`, which the swap below retires) and
     // check the eliminated rows' residuals against the drift bound.
@@ -415,15 +388,6 @@ class SymmetricKdppOracle::Committed final : public CommittedOracle {
       if (mask_[i] == 0) keep_.push_back(static_cast<int>(i));
     schur_complement_sym_into(src, keep_, batch, elim_chol_, y_, next_);
     std::swap(m_, next_);
-    // Record the accepted ids in batch order — the same order their
-    // bordered rows joined the committed factor. Then re-index: delete +
-    // compact, order preserved (condition() semantics).
-    for (const int b : batch)
-      committed_ids_.push_back(ids_[static_cast<std::size_t>(b)]);
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      if (mask_[i] == 0) ids_[w++] = ids_[i];
-    ids_.resize(w);
     k_cur_ = k_next;
     ++rounds_;
     if (k_cur_ == 0) {
@@ -439,15 +403,9 @@ class SymmetricKdppOracle::Committed final : public CommittedOracle {
   void reset() override {
     k_cur_ = base_->k_;
     rounds_ = 0;
-    ids_.clear();
-    for (std::size_t i = 0; i < base_->ground_size(); ++i)
-      ids_.push_back(static_cast<int>(i));
-    committed_ids_.clear();
-    base_ok_ = true;
     double max_diag = 0.0;
     for (std::size_t i = 0; i < base_->ground_size(); ++i)
       max_diag = std::max(max_diag, std::abs(base_->l_(i, i)));
-    base_chol_.clear(max_diag);
     // The run-fixed moment scale matches the base power basis'
     // construction (same formula over the same diagonal); the basis data
     // itself is populated on first commit, off the base oracle's primed
@@ -464,13 +422,7 @@ class SymmetricKdppOracle::Committed final : public CommittedOracle {
   }
 
   [[nodiscard]] std::size_t committed_count() const override {
-    return committed_ids_.size();
-  }
-
-  [[nodiscard]] double log_committed_mass() const override {
-    if (!base_ok_) return std::numeric_limits<double>::quiet_NaN();
-    // Chain rule: P[T ⊆ S] = det(L_T) e_{k-t}(lambda(L^T)) / e_k(lambda).
-    return base_chol_.log_det() + log_partition() - base_->log_partition();
+    return base_->k_ - k_cur_;
   }
 
   [[nodiscard]] std::size_t spectral_refreshes() const override {
@@ -711,10 +663,6 @@ class SymmetricKdppOracle::Committed final : public CommittedOracle {
   std::size_t rounds_ = 0;
   std::size_t spectral_refreshes_ = 0;
   Matrix m_;                       // conditional ensemble (valid after round 1)
-  std::vector<int> ids_;           // current index -> base index
-  std::vector<int> committed_ids_; // base ids in commit order
-  bool base_ok_ = true;
-  IncrementalCholesky base_chol_;  // committed prefix over the base matrix
   IncrementalCholesky elim_chol_;  // per-commit elimination block factor
   PowerBasis basis_;               // factor-native counting basis
   std::vector<double> log_e_;      // log e_j of the conditional, j=0..k_cur_

@@ -2,7 +2,6 @@
 
 #include "dpp/ensemble.h"
 #include "linalg/lu.h"
-#include "linalg/schur.h"
 #include "support/logsum.h"
 
 namespace pardpp {
@@ -44,12 +43,6 @@ double UnconstrainedDpp::log_mass(std::span<const int> s) const {
   const auto sld = signed_log_det(l_.principal(s));
   if (sld.sign <= 0) return kNegInf;
   return sld.log_abs - log_partition();
-}
-
-UnconstrainedDpp UnconstrainedDpp::condition_include(
-    std::span<const int> t) const {
-  const auto result = condition_ensemble(l_, t, symmetric_);
-  return UnconstrainedDpp(result.reduced, symmetric_, /*validate=*/false);
 }
 
 }  // namespace pardpp

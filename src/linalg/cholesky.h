@@ -69,19 +69,9 @@ class CholeskyDecomposition {
 /// Incrementally grown Cholesky factorization of a principal submatrix
 /// chain A_1 ⊂ A_2 ⊂ ... — the per-query factor behind the batch
 /// counting queries: a ConditionalState factors L_T one bordered row per
-/// batch element in reused scratch, and `truncate()` can pop back to a
-/// shared prefix for callers whose queries literally extend one another.
-/// The row-by-row arithmetic is identical to `cholesky()` below, so
-/// determinants and solves agree to the last bit with a from-scratch
-/// factorization of the same matrix.
-///
-/// A *committed prefix* supports the cross-round reuse of the sampler
-/// commit path (DESIGN.md §2 convention 7): `commit_prefix()` marks the
-/// rows factored so far as permanent, after which `truncate()` (and
-/// `truncate(size)`) can only pop back to that floor — the accepted
-/// rounds' bordered rows are absorbed instead of discarded, and
-/// `log_det()` keeps accumulating across rounds. `clear()` resets the
-/// floor along with everything else.
+/// batch element in reused scratch. The row-by-row arithmetic is
+/// identical to `cholesky()` below, so determinants and solves agree to
+/// the last bit with a from-scratch factorization of the same matrix.
 class IncrementalCholesky {
  public:
   /// Reserves room for matrices up to `capacity` rows (grows on demand).
@@ -110,44 +100,8 @@ class IncrementalCholesky {
   /// (and make the verdict depend on the append order).
   void clear(double max_abs_diag = 0.0) noexcept {
     size_ = 0;
-    committed_ = 0;
-    seed_diag_ = max_abs_diag;
     max_diag_ = max_abs_diag;
     log_det_ = 0.0;
-  }
-
-  /// Marks every row factored so far as permanent: `truncate` can no
-  /// longer pop below this point. The commit-path hook — accepted rows
-  /// join the persistent factor; speculative extensions beyond them stay
-  /// poppable.
-  void commit_prefix() noexcept { committed_ = size_; }
-
-  [[nodiscard]] std::size_t committed_size() const noexcept {
-    return committed_;
-  }
-
-  /// Pops every row appended since the last `commit_prefix()`.
-  void truncate() { truncate(committed_); }
-
-  /// Pops back to the first `prefix` rows — the factor of the prefix's
-  /// principal submatrix, exactly as it was before the later appends:
-  /// the tolerance scale is rebuilt from the retained rows' diagonals
-  /// (reconstructed from the factor) plus the clear() seed, so the
-  /// positive-definiteness verdict of later appends does not depend on
-  /// rows that were appended and popped in between.
-  void truncate(std::size_t prefix) {
-    check_arg(prefix <= size_, "IncrementalCholesky: truncate past size");
-    check_arg(prefix >= committed_,
-              "IncrementalCholesky: truncate below the committed prefix");
-    size_ = prefix;
-    max_diag_ = seed_diag_;
-    log_det_ = 0.0;
-    for (std::size_t i = 0; i < size_; ++i) {
-      const double d = lower_(i, i);
-      max_diag_ = std::max(max_diag_, d * d + dot(i, i));
-      log_det_ += std::log(d);
-    }
-    log_det_ *= 2.0;
   }
 
   /// Appends the bordered row `row` = A(r, 0..r) of the grown matrix
@@ -161,8 +115,8 @@ class IncrementalCholesky {
     const std::size_t r = size_;
     // The threshold scale is committed only on success: a rejected
     // extension must leave the factor — including the tolerance state —
-    // exactly as it was, so probe-style callers (try i, truncate, try j)
-    // are not poisoned by a rejected row's large diagonal.
+    // exactly as it was, so a caller that recovers from a rejected row
+    // is not poisoned by its large diagonal.
     const double max_diag = std::max(max_diag_, std::abs(row[r]));
     const double threshold = std::max(tol_ * max_diag, 1e-300);
     const simd::KernelTable& kernels = simd::active_kernels();
@@ -208,99 +162,13 @@ class IncrementalCholesky {
   }
 
  private:
-  [[nodiscard]] double dot(std::size_t i, std::size_t j) const noexcept {
-    return simd::dot(lower_.row(i).data(), lower_.row(j).data(),
-                     std::min(i, j));
-  }
-
   Matrix lower_;
   std::size_t size_ = 0;
-  std::size_t committed_ = 0;
   std::size_t cap_ = 0;
   double tol_ = 1e-12;
-  double seed_diag_ = 0.0;  // clear()'s threshold seed, kept for truncate()
   double max_diag_ = 0.0;
   double log_det_ = 0.0;
 };
-
-/// Rank-1 update of a Cholesky factor: given lower-triangular L with
-/// A = L L^T, rewrites L in place so that L L^T = A + v v^T (the stable
-/// hyperbolic-rotation-free scheme of Gill–Golub–Murray–Saunders).
-/// `v` is consumed as scratch.
-inline void cholesky_update(Matrix& lower, std::span<double> v) {
-  check_arg(lower.square() && v.size() == lower.rows(),
-            "cholesky_update: size mismatch");
-  const std::size_t n = lower.rows();
-  for (std::size_t j = 0; j < n; ++j) {
-    const double ljj = lower(j, j);
-    const double r = std::hypot(ljj, v[j]);
-    const double c = r / ljj;
-    const double s = v[j] / ljj;
-    lower(j, j) = r;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      lower(i, j) = (lower(i, j) + s * v[i]) / c;
-      v[i] = c * v[i] - s * lower(i, j);
-    }
-  }
-}
-
-/// Rank-1 *downdate* of a Cholesky factor: given lower-triangular L with
-/// A = L L^T, rewrites L in place so that L L^T = A - v v^T (the
-/// LINPACK-style rotation sweep, transposed for lower factors). `v` is
-/// consumed as scratch.
-///
-/// Guarded against indefinite drift: the downdated matrix is positive
-/// definite iff ||L^{-1} v||^2 < 1, and that test runs *before* any
-/// mutation — on failure (including the near-singular band
-/// 1 - ||p||^2 <= tol, which covers exact zero pivots) the function
-/// returns false with the factor untouched. A downdate that passes the
-/// test but loses a pivot to roundoff during the sweep (only possible
-/// within roundoff of the tolerance boundary) also returns false, with
-/// the factor invalid; callers treat any false as "refactorize from
-/// scratch".
-[[nodiscard]] inline bool cholesky_downdate(Matrix& lower, std::span<double> v,
-                                            double tol = 1e-12) {
-  check_arg(lower.square() && v.size() == lower.rows(),
-            "cholesky_downdate: size mismatch");
-  const std::size_t n = lower.rows();
-  // p = L^{-1} v (forward substitution), in place.
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = v[i];
-    for (std::size_t k = 0; k < i; ++k) acc -= lower(i, k) * v[k];
-    v[i] = acc / lower(i, i);
-  }
-  double norm_sq = 0.0;
-  for (std::size_t i = 0; i < n; ++i) norm_sq += v[i] * v[i];
-  const double alpha_sq = 1.0 - norm_sq;
-  // det(A - vv^T) = det(A) * alpha_sq: reject the indefinite and the
-  // numerically singular cases before touching the factor.
-  if (!(alpha_sq > tol)) return false;
-  // Rotation angles zeroing p from the bottom, growing alpha back to 1.
-  std::vector<double> c(n);
-  std::vector<double> s(n);
-  double alpha = std::sqrt(alpha_sq);
-  for (std::size_t ii = n; ii-- > 0;) {
-    const double scale = alpha + std::abs(v[ii]);
-    const double a = alpha / scale;
-    const double b = v[ii] / scale;
-    const double norm = std::hypot(a, b);
-    c[ii] = a / norm;
-    s[ii] = b / norm;
-    alpha = scale * norm;
-  }
-  // Apply the sweep to each row of L (transposed dchdd column update).
-  bool ok = true;
-  for (std::size_t j = 0; j < n; ++j) {
-    double xx = 0.0;
-    for (std::size_t i = j + 1; i-- > 0;) {
-      const double t = c[i] * xx + s[i] * lower(j, i);
-      lower(j, i) = c[i] * lower(j, i) - s[i] * xx;
-      xx = t;
-    }
-    if (!(lower(j, j) > 0.0)) ok = false;
-  }
-  return ok;
-}
 
 /// Attempts a Cholesky factorization; returns nullopt when the matrix is
 /// not positive definite beyond `tol` (relative to the largest diagonal).

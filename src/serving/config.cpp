@@ -127,10 +127,6 @@ std::string SessionConfig::to_string() const {
   field("entropic.machine_cap", std::to_string(s.entropic.machine_cap));
   field("recovery.enabled", format_bool(s.recovery.enabled));
   field("recovery.max_retries", std::to_string(s.recovery.max_retries));
-  field("recovery.degrade_undistilled",
-        format_bool(s.recovery.degrade_undistilled));
-  field("recovery.degrade_reference",
-        format_bool(s.recovery.degrade_reference));
   return out;
 }
 
@@ -195,10 +191,6 @@ SessionConfig SessionConfig::parse(std::string_view text) {
       s.recovery.enabled = parse_bool(key, value);
     } else if (key == "recovery.max_retries") {
       s.recovery.max_retries = parse_size(key, value);
-    } else if (key == "recovery.degrade_undistilled") {
-      s.recovery.degrade_undistilled = parse_bool(key, value);
-    } else if (key == "recovery.degrade_reference") {
-      s.recovery.degrade_reference = parse_bool(key, value);
     } else {
       throw InvalidArgument("config: unknown session key '" +
                             std::string(key) + "'");

@@ -77,12 +77,4 @@ RegistryStats SessionRegistry::stats() const {
   return stats_;
 }
 
-void SessionRegistry::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  lru_.clear();
-  index_.clear();
-  stats_.sessions = 0;
-  stats_.resident_bytes = 0;
-}
-
 }  // namespace pardpp::serving

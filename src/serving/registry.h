@@ -108,8 +108,6 @@ class SessionRegistry {
 
   [[nodiscard]] RegistryStats stats() const;
 
-  void clear();
-
  private:
   struct Entry {
     KernelFingerprint fingerprint;

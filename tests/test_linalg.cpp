@@ -135,42 +135,6 @@ TEST(Matrix, SymRankKUpdateMatchesNaive) {
     for (std::size_t j = 0; j < n; ++j) EXPECT_EQ(c(i, j), c(j, i));
 }
 
-TEST(IncrementalCholesky, CommittedPrefixSurvivesTruncate) {
-  RandomStream rng(771003);
-  const Matrix a = random_psd(8, 8, rng, 1e-3);
-  IncrementalCholesky chol(8);
-  double max_diag = 0.0;
-  for (std::size_t i = 0; i < 8; ++i)
-    max_diag = std::max(max_diag, std::abs(a(i, i)));
-  chol.clear(max_diag);
-  std::vector<double> row;
-  const auto append_row = [&](std::size_t r) {
-    row.resize(r + 1);
-    for (std::size_t c = 0; c <= r; ++c) row[c] = a(r, c);
-    ASSERT_TRUE(chol.append(row));
-  };
-  append_row(0);
-  append_row(1);
-  append_row(2);
-  chol.commit_prefix();
-  EXPECT_EQ(chol.committed_size(), 3u);
-  const double committed_log_det = chol.log_det();
-  // Speculative rows beyond the committed prefix pop back off...
-  append_row(3);
-  append_row(4);
-  chol.truncate();
-  EXPECT_EQ(chol.size(), 3u);
-  EXPECT_DOUBLE_EQ(chol.log_det(), committed_log_det);
-  // ...and popping below the committed floor is rejected.
-  EXPECT_THROW(chol.truncate(2), InvalidArgument);
-  // clear() resets the floor.
-  chol.clear(max_diag);
-  EXPECT_EQ(chol.committed_size(), 0u);
-  append_row(0);
-  chol.truncate(0);
-  EXPECT_EQ(chol.size(), 0u);
-}
-
 TEST(Schur, ConditionEnsembleSymIntoMatchesFromScratch) {
   RandomStream rng(771004);
   const Matrix l = random_psd(9, 9, rng, 1e-3);
@@ -443,7 +407,7 @@ TEST(Factory, RandomPartitionCoversAllParts) {
   for (const int c : counts) EXPECT_GE(c, 1);
 }
 
-// ---- incremental Cholesky (shared-prefix batch queries) ----
+// ---- incremental Cholesky (batch queries) ----
 
 TEST(IncrementalCholesky, AppendMatchesFromScratch) {
   RandomStream rng(41);
@@ -463,34 +427,6 @@ TEST(IncrementalCholesky, AppendMatchesFromScratch) {
   EXPECT_NEAR(inc.log_det(), full->log_det(), 1e-12);
 }
 
-TEST(IncrementalCholesky, TruncateRestoresSharedPrefix) {
-  RandomStream rng(42);
-  const Matrix a = random_psd(6, 6, rng, 1e-2);
-  IncrementalCholesky inc(6);
-  std::vector<double> row;
-  const auto append_row = [&](const Matrix& m, std::size_t r,
-                              std::span<const int> idx) {
-    row.resize(r + 1);
-    for (std::size_t c = 0; c <= r; ++c)
-      row[c] = m(static_cast<std::size_t>(idx[r]),
-                 static_cast<std::size_t>(idx[c]));
-    return inc.append(row);
-  };
-  // Factor prefix {0, 2} then extend to {0, 2, 4}; truncate back and
-  // extend to {0, 2, 5} — the prefix factor must be reused exactly.
-  const std::vector<int> first = {0, 2, 4};
-  for (std::size_t r = 0; r < 3; ++r) ASSERT_TRUE(append_row(a, r, first));
-  const double log_det_first = inc.log_det();
-  inc.truncate(2);
-  const std::vector<int> second = {0, 2, 5};
-  ASSERT_TRUE(append_row(a, 2, second));
-  const auto direct_first = cholesky(a.principal(first));
-  const auto direct_second = cholesky(a.principal(second));
-  ASSERT_TRUE(direct_first.has_value() && direct_second.has_value());
-  EXPECT_NEAR(log_det_first, direct_first->log_det(), 1e-12);
-  EXPECT_NEAR(inc.log_det(), direct_second->log_det(), 1e-12);
-}
-
 TEST(IncrementalCholesky, RejectsNonPositiveDefiniteExtension) {
   // Appending a duplicate row makes the extension singular; the factor
   // must stay usable at its previous size.
@@ -508,128 +444,6 @@ TEST(IncrementalCholesky, RejectsNonPositiveDefiniteExtension) {
   const auto direct = cholesky(a.principal(idx));
   ASSERT_TRUE(direct.has_value());
   EXPECT_NEAR(inc.log_det(), direct->log_det(), 1e-12);
-}
-
-TEST(CholeskyUpdate, RankOneUpdateMatchesRefactorization) {
-  RandomStream rng(44);
-  const Matrix a = random_psd(6, 6, rng, 1e-2);
-  RandomStream vec_rng(45);
-  std::vector<double> v(6);
-  for (double& x : v) x = vec_rng.uniform(-1.0, 1.0);
-  Matrix updated = a;
-  for (std::size_t i = 0; i < 6; ++i)
-    for (std::size_t j = 0; j < 6; ++j) updated(i, j) += v[i] * v[j];
-  auto factor = cholesky(a);
-  ASSERT_TRUE(factor.has_value());
-  Matrix lower = factor->lower();
-  cholesky_update(lower, v);
-  const auto direct = cholesky(updated);
-  ASSERT_TRUE(direct.has_value());
-  for (std::size_t i = 0; i < 6; ++i)
-    for (std::size_t j = 0; j <= i; ++j)
-      EXPECT_NEAR(lower(i, j), direct->lower()(i, j), 1e-10);
-}
-
-TEST(CholeskyDowndate, RankOneDowndateMatchesRefactorization) {
-  RandomStream rng(48);
-  const Matrix base = random_psd(6, 6, rng, 1e-2);
-  RandomStream vec_rng(49);
-  std::vector<double> v(6);
-  for (double& x : v) x = vec_rng.uniform(-0.3, 0.3);
-  // A = base + vv^T is safely PD and A - vv^T = base stays PD, so the
-  // downdate must land on base's factor.
-  Matrix a = base;
-  for (std::size_t i = 0; i < 6; ++i)
-    for (std::size_t j = 0; j < 6; ++j) a(i, j) += v[i] * v[j];
-  auto factor = cholesky(a);
-  ASSERT_TRUE(factor.has_value());
-  Matrix lower = factor->lower();
-  std::vector<double> w = v;  // consumed in place
-  ASSERT_TRUE(cholesky_downdate(lower, w));
-  const auto direct = cholesky(base);
-  ASSERT_TRUE(direct.has_value());
-  for (std::size_t i = 0; i < 6; ++i)
-    for (std::size_t j = 0; j <= i; ++j)
-      EXPECT_NEAR(lower(i, j), direct->lower()(i, j), 1e-10);
-}
-
-TEST(CholeskyDowndate, RejectsDowndateToIndefiniteAndLeavesFactorIntact) {
-  RandomStream rng(50);
-  const Matrix a = random_psd(5, 5, rng, 1e-2);
-  auto factor = cholesky(a);
-  ASSERT_TRUE(factor.has_value());
-  const Matrix original = factor->lower();
-  Matrix lower = original;
-  // Removing 2x the leading basis direction drives A - vv^T indefinite:
-  // the pre-mutation guard must reject before touching the factor.
-  std::vector<double> v(5, 0.0);
-  v[0] = 2.0 * std::sqrt(a(0, 0));
-  EXPECT_FALSE(cholesky_downdate(lower, v));
-  for (std::size_t i = 0; i < 5; ++i)
-    for (std::size_t j = 0; j <= i; ++j)
-      EXPECT_DOUBLE_EQ(lower(i, j), original(i, j));
-}
-
-TEST(CholeskyDowndate, RejectsZeroPivotDowndate) {
-  // Downdating I by a unit basis vector zeroes the leading pivot
-  // exactly: 1 - ||L^{-1}v||^2 = 0 fails the strict tolerance gate and
-  // the factor must be left untouched (the guard runs pre-mutation).
-  Matrix lower = Matrix::identity(3);
-  std::vector<double> v = {1.0, 0.0, 0.0};
-  EXPECT_FALSE(cholesky_downdate(lower, v));
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j <= i; ++j)
-      EXPECT_DOUBLE_EQ(lower(i, j), i == j ? 1.0 : 0.0);
-}
-
-TEST(CholeskyDowndate, NearSingularDowndateStaysAccurate) {
-  // Downdate that leaves a tiny but genuinely positive pivot: the sweep
-  // must neither reject it nor lose the small remaining mass.
-  const double eps = 1e-8;
-  Matrix lower = Matrix::identity(2);
-  std::vector<double> v = {std::sqrt(1.0 - eps), 0.0};
-  ASSERT_TRUE(cholesky_downdate(lower, v));
-  // I - vv^T = diag(eps, 1): the reconstructed product must hit it.
-  for (std::size_t i = 0; i < 2; ++i)
-    for (std::size_t j = 0; j < 2; ++j) {
-      double acc = 0.0;
-      for (std::size_t c = 0; c < 2; ++c) acc += lower(i, c) * lower(j, c);
-      const double want = i != j ? 0.0 : (i == 0 ? eps : 1.0);
-      EXPECT_NEAR(acc, want, 1e-15 + 1e-10 * want);
-    }
-}
-
-TEST(CholeskyDowndate, UpdateDowndateRoundTripDriftFuzz) {
-  // Accumulated-drift fuzz: long alternating sequences of rank-1 updates
-  // followed by their exact downdates must return to the from-scratch
-  // factor of the original matrix to 1e-10 — the bound the commit path's
-  // forced-refactorization convention (DESIGN.md §2) budgets for.
-  RandomStream rng(51);
-  for (int trial = 0; trial < 4; ++trial) {
-    const std::size_t n = 4 + static_cast<std::size_t>(rng.uniform_index(5));
-    const Matrix a = random_psd(n, n, rng, 1e-2);
-    auto factor = cholesky(a);
-    ASSERT_TRUE(factor.has_value());
-    Matrix lower = factor->lower();
-    std::vector<std::vector<double>> vs;
-    for (int round = 0; round < 12; ++round) {
-      std::vector<double> v(n);
-      for (double& x : v) x = rng.uniform(-0.5, 0.5);
-      vs.push_back(v);
-      cholesky_update(lower, v);
-    }
-    // Downdate in reverse order of the updates.
-    for (std::size_t r = vs.size(); r-- > 0;) {
-      std::vector<double> w = vs[r];
-      ASSERT_TRUE(cholesky_downdate(lower, w));
-    }
-    const auto direct = cholesky(a);
-    ASSERT_TRUE(direct.has_value());
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j <= i; ++j)
-        EXPECT_NEAR(lower(i, j), direct->lower()(i, j), 1e-10)
-            << "trial " << trial << " (" << i << "," << j << ")";
-  }
 }
 
 TEST(SchurComplement, IncrementalMatchesFromScratch) {

@@ -474,16 +474,13 @@ std::vector<int> random_feasible_batch(const CountingOracle& oracle,
 
 // Drives one full run — commit() on the incremental state, condition()
 // on the reference chain — and pins the two conditionals against each
-// other after every accepted round: sizes, marginal vectors, random joint
-// queries (direct and through a ConditionalState), and the committed-mass
-// diagnostic against the base oracle's from-scratch resolve.
+// other after every accepted round: sizes, marginal vectors, and random
+// joint queries (direct and through a ConditionalState).
 void expect_commit_matches_condition(const CountingOracle& base,
                                      RandomStream& rng) {
   base.prepare_concurrent();
   const auto committed = base.make_committed();
   const auto reference = make_condition_reference(base);
-  IndexTracker tracker(base.ground_size());
-  std::vector<int> committed_originals;
   while (committed->sample_size() > 0) {
     ASSERT_EQ(committed->sample_size(), reference->sample_size());
     ASSERT_EQ(committed->ground_size(), reference->ground_size());
@@ -518,17 +515,7 @@ void expect_commit_matches_condition(const CountingOracle& base,
     const double log_joint = reference->log_joint_marginal(batch);
     committed->commit(batch, log_joint);
     reference->commit(batch, log_joint);
-    for (const int b : tracker.originals(batch))
-      committed_originals.push_back(b);
-    tracker.remove(batch);
     EXPECT_EQ(committed->committed_count(), reference->committed_count());
-    // The committed-mass diagnostic (families that track it): the run's
-    // prefix mass must match the base oracle's from-scratch resolve.
-    const double mass = committed->log_committed_mass();
-    if (!std::isnan(mass)) {
-      EXPECT_NEAR(mass, base.log_joint_marginal(committed_originals), 1e-9)
-          << base.name() << " committed=" << committed->committed_count();
-    }
   }
   // reset() rewinds to the base distribution.
   committed->reset();
@@ -640,8 +627,7 @@ TEST(CommittedOracleFuzz, CommitOnNullEventThrowsAndLeavesStateIntact) {
   const std::vector<int> batch = {0, 3};
   ASSERT_NE(oracle.log_joint_marginal(batch), kNegInf);
   committed->commit(batch, oracle.log_joint_marginal(batch));
-  EXPECT_NEAR(committed->log_committed_mass(),
-              oracle.log_joint_marginal(batch), 1e-9);
+  EXPECT_EQ(committed->committed_count(), 2u);
   const auto conditioned = oracle.condition(batch);
   const auto p_commit = committed->marginals();
   const auto p_want = conditioned->marginals();
