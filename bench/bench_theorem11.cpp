@@ -8,7 +8,9 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "parallel/execution.h"
 #include "parallel/pram.h"
+#include "parallel/thread_pool.h"
 #include "planar/grid.h"
 #include "planar/matching_count.h"
 #include "planar/matching_sampler.h"
@@ -23,7 +25,7 @@ using namespace pardpp::bench;
 // Second planar family: lozenge tilings of hexagons H(m,m,m). Validates
 // the counting oracle against MacMahon's closed form at every size before
 // sampling.
-void hexagon_series() {
+void hexagon_series(ThreadPool& pool) {
   print_header("EXP-T11b", "Theorem 11 on lozenge tilings",
                "same sqrt(n) depth law on the honeycomb/hexagon family; "
                "counts cross-checked against MacMahon's box formula");
@@ -36,7 +38,8 @@ void hexagon_series() {
     PramLedger sep_ledger;
     Timer timer;
     RandomStream run_rng = rng.split();
-    (void)sample_matching_separator(g, run_rng, &sep_ledger);
+    (void)sample_matching_separator(g, run_rng,
+                                    ExecutionContext(&pool, &sep_ledger));
     const double sep_ms = timer.millis();
     const auto n = static_cast<double>(g.num_vertices());
     table.add_row({"H(" + std::to_string(m) + ")",
@@ -59,6 +62,7 @@ int main() {
                "c=sep_depth/sqrt(n)", "sep_work(oracle)", "seq_ms",
                "sep_ms"});
   RandomStream rng(94001);
+  ThreadPool pool;  // sibling components fan out on the host's cores
   std::vector<double> log_n;
   std::vector<double> log_depth;
   for (const std::size_t side : {4u, 6u, 8u, 10u, 12u, 14u, 16u, 20u}) {
@@ -68,13 +72,15 @@ int main() {
     PramLedger seq_ledger;
     Timer seq_timer;
     RandomStream seq_rng = rng.split();
-    (void)sample_matching_sequential(g, seq_rng, &seq_ledger);
+    (void)sample_matching_sequential(g, seq_rng,
+                                     ExecutionContext::serial(&seq_ledger));
     const double seq_ms = seq_timer.millis();
 
     PramLedger sep_ledger;
     Timer sep_timer;
     RandomStream sep_rng = rng.split();
-    (void)sample_matching_separator(g, sep_rng, &sep_ledger);
+    (void)sample_matching_separator(g, sep_rng,
+                                    ExecutionContext(&pool, &sep_ledger));
     const double sep_ms = sep_timer.millis();
 
     const double sep_depth = sep_ledger.stats().depth;
@@ -108,6 +114,6 @@ int main() {
       "the small-n fit; the c = depth/sqrt(n) column stabilizing while\n"
       "depth/n falls is the quadratic speedup)\n",
       slope);
-  hexagon_series();
+  hexagon_series(pool);
   return 0;
 }

@@ -50,8 +50,10 @@ int main() {
   std::printf("grid %zux%zu: log #tilings = %.3f (#tilings ~ %.3e)\n", rows,
               cols, counter.log_count(), std::exp(counter.log_count()));
 
+  ThreadPool pool;  // sibling components fan out on the host's cores
   PramLedger sep_ledger;
-  const auto tiling = sample_matching_separator(g, rng, &sep_ledger);
+  const auto tiling =
+      sample_matching_separator(g, rng, ExecutionContext(&pool, &sep_ledger));
   std::printf("\none uniform tiling (o- horizontal, | vertical):\n");
   print_tiling(rows, cols, tiling.matching);
 
@@ -63,10 +65,11 @@ int main() {
   double seq_depth = 0.0;
   for (int i = 0; i < trials; ++i) {
     PramLedger sep_i;
-    const auto m = sample_matching_separator(g, rng, &sep_i);
+    const auto m =
+        sample_matching_separator(g, rng, ExecutionContext(&pool, &sep_i));
     sep_depth += sep_i.stats().depth;
     PramLedger seq_i;
-    (void)sample_matching_sequential(g, rng, &seq_i);
+    (void)sample_matching_sequential(g, rng, ExecutionContext::serial(&seq_i));
     seq_depth += seq_i.stats().depth;
     for (const auto& [u, v] : m.matching) {
       horizontal += (static_cast<std::size_t>(u) / cols ==

@@ -62,10 +62,11 @@ int main() {
 
   // 2. Counting oracle for the k-DPP, and one exact parallel sample. The
   // ExecutionContext fans each round's proposal machines out on the
-  // shared pool; the same seed yields the same sample at any pool size.
+  // pool; the same seed yields the same sample at any pool size.
   const SymmetricKdppOracle oracle(l, k);
+  ThreadPool pool;  // one worker per hardware thread
   PramLedger ledger;
-  const ExecutionContext ctx = ExecutionContext::on_shared_pool(&ledger);
+  const ExecutionContext ctx(&pool, &ledger);
   const SampleResult sample = sample_batched(oracle, rng, ctx);
 
   std::printf("k-DPP sample (# = selected of %zu points):\n", n);

@@ -273,9 +273,11 @@ int run_grid(const CliOptions& options) {
   RandomStream rng(options.seed);
   std::printf("# grid %zux%zu, uniform perfect matchings via Theorem 11\n",
               options.rows, options.cols);
+  ThreadPool pool;  // sibling components fan out on the host's cores
   for (int trial = 0; trial < options.trials; ++trial) {
     PramLedger ledger;
-    const auto result = sample_matching_separator(g, rng, &ledger);
+    const auto result =
+        sample_matching_separator(g, rng, ExecutionContext(&pool, &ledger));
     std::printf("matching %d (depth %.0f):", trial, ledger.stats().depth);
     for (const auto& [u, v] : result.matching)
       std::printf(" (%d,%d)", u, v);

@@ -251,17 +251,13 @@ LogCoefficient CharPolyEngine::log_count_superset(std::span<const int> t,
     logs[g] = c.log_det[g] + det.log_abs;
     phases[g] = c.det_phase[g] * det.phase;
   };
-  const ExecutionContext& ctx = linalg_context();
-  if (ctx.can_fan_out()) {
-    // Parallel bodies own private scratch.
-    ctx.for_each(0, c.grid_size, [&](std::size_t g) {
-      CMatrix ct(tsize, tsize);
-      solve_node(g, ct);
-    });
-  } else {
-    CMatrix ct(tsize, tsize);  // hoisted, reused across nodes
-    for (std::size_t g = 0; g < c.grid_size; ++g) solve_node(g, ct);
-  }
+  // Scratch is per chunk: private to each parallel body, hoisted across
+  // all nodes when the round runs serially as one chunk.
+  linalg_context().for_each_chunk(
+      0, c.grid_size, [&](std::size_t lo, std::size_t hi) {
+        CMatrix ct(tsize, tsize);
+        for (std::size_t g = lo; g < hi; ++g) solve_node(g, ct);
+      });
   return extract_coefficient(phases, logs, j);
 }
 
@@ -285,20 +281,13 @@ std::vector<LogCoefficient> CharPolyEngine::marginal_numerators() const {
     }
     out[i] = extract_coefficient(phases, logs, target_counts_);
   };
-  const ExecutionContext& ctx = linalg_context();
-  if (ctx.can_fan_out()) {
-    // All n numerators are one wide round over the shared node cache;
-    // per-element scratch keeps the bodies disjoint.
-    ctx.for_each(0, n, [&](std::size_t i) {
-      std::vector<std::complex<double>> phases(c.grid_size);
-      std::vector<double> logs(c.grid_size);
-      element(i, phases, logs);
-    });
-  } else {
-    std::vector<std::complex<double>> phases(c.grid_size);  // hoisted
+  // All n numerators are one wide round over the shared node cache;
+  // per-chunk scratch keeps the bodies disjoint.
+  linalg_context().for_each_chunk(0, n, [&](std::size_t lo, std::size_t hi) {
+    std::vector<std::complex<double>> phases(c.grid_size);
     std::vector<double> logs(c.grid_size);
-    for (std::size_t i = 0; i < n; ++i) element(i, phases, logs);
-  }
+    for (std::size_t i = lo; i < hi; ++i) element(i, phases, logs);
+  });
   return out;
 }
 

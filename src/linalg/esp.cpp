@@ -37,7 +37,8 @@ LogEspTable::LogEspTable(std::span<const double> lambda, std::size_t jmax)
   suffix_.resize(n_ + 1);
   // The two per-shift recurrence sweeps are independent of each other;
   // they run as one fork-join pair on the linalg pool when the table is
-  // big enough to pay the dispatch.
+  // big enough to pay the dispatch (grain 1), on the caller otherwise
+  // (grain 2: one chunk).
   const auto build_prefix = [&] {
     prefix_[0].assign(jmax + 1, kNegInf);
     prefix_[0][0] = 0.0;
@@ -54,13 +55,11 @@ LogEspTable::LogEspTable(std::span<const double> lambda, std::size_t jmax)
       esp_step(suffix_[m], log_value(lambda[m]), jmax);
     }
   };
-  const ExecutionContext& ctx = linalg_context();
-  if (ctx.can_fan_out() && n_ * (jmax + 1) >= 1u << 12) {
-    parallel_invoke(*ctx.pool(), {build_prefix, build_suffix});
-  } else {
-    build_prefix();
-    build_suffix();
-  }
+  const bool big = n_ * (jmax + 1) >= 1u << 12;
+  linalg_context().for_each(
+      0, 2,
+      [&](std::size_t side) { side == 0 ? build_prefix() : build_suffix(); },
+      big ? 1 : 2);
 }
 
 NewtonEsp esp_from_power_traces(std::span<const double> power_traces,

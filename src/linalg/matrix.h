@@ -204,12 +204,8 @@ class BasicMatrix {
         for (std::size_t j = 0; j < b.cols_; ++j) orow[j] += aik * brow[j];
       }
     };
-    const ExecutionContext& ctx = linalg_context();
-    if (a.rows_ >= 64 && ctx.can_fan_out()) {
-      ctx.for_each(0, a.rows_, compute_row);
-    } else {
-      for (std::size_t i = 0; i < a.rows_; ++i) compute_row(i);
-    }
+    linalg_context().for_each(0, a.rows_, compute_row,
+                              a.rows_ >= 64 ? 1 : a.rows_);
     return out;
   }
 

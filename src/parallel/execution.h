@@ -30,6 +30,9 @@
 //     parallel execution, so `can_fan_out()`/`wave_width()` clamp to
 //     `physical_concurrency()`. On a single-core host every pool size
 //     therefore executes the identical serial instruction stream.
+//  5. `for_each`/`for_each_chunk` are the only way code outside
+//     src/parallel/ runs work on a pool; a call site's size threshold is
+//     the `grain` it passes, never a branch of its own.
 #pragma once
 
 #include <cstddef>
@@ -61,13 +64,6 @@ class ExecutionContext {
     return {nullptr, ledger};
   }
 
-  /// Context on the process-wide shared pool.
-  [[nodiscard]] static ExecutionContext on_shared_pool(
-      PramLedger* ledger = nullptr) {
-    return {&ThreadPool::shared(), ledger};
-  }
-
-  [[nodiscard]] ThreadPool* pool() const noexcept { return pool_; }
   [[nodiscard]] PramLedger* ledger() const noexcept { return ledger_; }
 
   /// A context sharing this pool but with no ledger (for inner stages
@@ -88,16 +84,6 @@ class ExecutionContext {
     return std::min(workers(), physical_concurrency());
   }
 
-  /// True when a round fanned out here would actually run concurrently:
-  /// a pool is attached, the host has more than one execution unit for
-  /// it, and the caller is not already inside a parallel body (nested
-  /// rounds degenerate serial — see the guard in parallel_for.h). Every
-  /// "parallel or serial strategy?" branch must use this, so the
-  /// degeneration policy lives in one place.
-  [[nodiscard]] bool can_fan_out() const noexcept {
-    return physical_workers() > 1 && !in_parallel_region();
-  }
-
   /// Number of speculative rejection trials to launch per wave: one per
   /// physically concurrent worker. A wider wave would only deepen the
   /// critical path (a wave is ceil(width / workers) oracle evaluations
@@ -113,7 +99,9 @@ class ExecutionContext {
   /// can_fan_out() holds, serially on the calling thread otherwise.
   /// `grain` is the minimum number of consecutive indices per dispatched
   /// task: pass the approximate number of cheap bodies worth one
-  /// dispatch, so per-task overhead stops dominating small trials.
+  /// dispatch, so per-task overhead stops dominating small trials. A
+  /// grain of at least end - begin makes one chunk, which runs serially
+  /// on the caller — the way a call site says "too small to fan out".
   /// Bodies must write to disjoint state.
   template <typename Fn>
   void for_each(std::size_t begin, std::size_t end, Fn&& fn,
@@ -156,6 +144,16 @@ class ExecutionContext {
   }
 
  private:
+  /// True when a round fanned out here would actually run concurrently:
+  /// a pool is attached, the host has more than one execution unit for
+  /// it, and the caller is not already inside a parallel body (nested
+  /// rounds degenerate serial — see the guard in parallel_for.h). Private
+  /// so the degeneration policy lives in one place: call sites pass a
+  /// `grain` to for_each/for_each_chunk instead of branching on it.
+  [[nodiscard]] bool can_fan_out() const noexcept {
+    return physical_workers() > 1 && !in_parallel_region();
+  }
+
   ThreadPool* pool_ = nullptr;
   PramLedger* ledger_ = nullptr;
 };

@@ -1,13 +1,13 @@
-// parallel_for / parallel_invoke helpers on top of ThreadPool.
+// parallel_for helpers on top of ThreadPool.
 //
 // These provide the fork-join structure of one logical PRAM round: a batch
 // of independent bodies executed concurrently, with exceptions propagated
 // to the caller through futures (no detached work, no shared mutable state
-// beyond what the caller partitions explicitly).
+// beyond what the caller partitions explicitly). Library code outside
+// src/parallel/ reaches them only through ExecutionContext (execution.h).
 #pragma once
 
 #include <exception>
-#include <functional>
 #include <future>
 #include <vector>
 
@@ -109,35 +109,6 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
         for (std::size_t i = lo; i < hi; ++i) fn(i);
       },
       grain);
-}
-
-/// Convenience overload on the shared pool.
-template <typename Fn>
-void parallel_for(std::size_t begin, std::size_t end, Fn&& fn) {
-  parallel_for(ThreadPool::shared(), begin, end, std::forward<Fn>(fn));
-}
-
-/// Runs a set of independent thunks concurrently and waits for all of them.
-/// Degenerates to serial execution when nested inside a parallel_for body
-/// (same deadlock-avoidance rationale as above).
-inline void parallel_invoke(ThreadPool& pool,
-                            std::vector<std::function<void()>> thunks) {
-  if (pool.size() <= 1 || detail::in_parallel_worker) {
-    for (auto& thunk : thunks) thunk();
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(thunks.size());
-  for (auto& thunk : thunks) {
-    futures.push_back(pool.submit([thunk = std::move(thunk)] {
-      const detail::ParallelWorkerScope scope;
-      if (failpoint("parallel.task"))
-        throw Error("parallel_invoke: injected task failure "
-                    "[failpoint parallel.task]");
-      thunk();
-    }));
-  }
-  detail::join_all(futures);
 }
 
 }  // namespace pardpp

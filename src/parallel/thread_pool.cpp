@@ -40,9 +40,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool;
-  return pool;
-}
-
 }  // namespace pardpp

@@ -46,10 +46,6 @@ class ThreadPool {
     return future;
   }
 
-  /// Shared process-wide pool (lazily constructed; function-local static per
-  /// Core Guidelines R.6 / CP.110).
-  [[nodiscard]] static ThreadPool& shared();
-
  private:
   void worker_loop();
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <mutex>
 
-#include "parallel/parallel_for.h"
 #include "planar/separator.h"
 #include "support/error.h"
 #include "support/logsum.h"
@@ -113,13 +112,15 @@ void finish_sequentially(SharedState& state, std::vector<int> alive,
   }
 }
 
+// Components at or below this size are finished sequentially.
+constexpr std::size_t kBaseCutoff = 6;
+
 // Theorem 11 recursion on one connected even component.
 PramStats sample_component(SharedState& state, std::vector<int> alive,
-                           RandomStream rng,
-                           const SeparatorSamplerOptions& options) {
+                           RandomStream rng, const ExecutionContext& ctx) {
   PramStats pram;
   if (alive.empty()) return pram;
-  if (alive.size() <= options.base_cutoff) {
+  if (alive.size() <= kBaseCutoff) {
     finish_sequentially(state, std::move(alive), rng, pram);
     return pram;
   }
@@ -150,16 +151,10 @@ PramStats sample_component(SharedState& state, std::vector<int> alive,
   child_rngs.reserve(comps.size());
   for (std::size_t c = 0; c < comps.size(); ++c)
     child_rngs.push_back(rng.split());
-  if (options.parallel_components && comps.size() > 1) {
-    parallel_for(ThreadPool::shared(), 0, comps.size(), [&](std::size_t c) {
-      child_stats[c] = sample_component(state, std::move(comps[c]),
-                                        child_rngs[c], options);
-    });
-  } else {
-    for (std::size_t c = 0; c < comps.size(); ++c)
-      child_stats[c] = sample_component(state, std::move(comps[c]),
-                                        child_rngs[c], options);
-  }
+  ctx.for_each(0, comps.size(), [&](std::size_t c) {
+    child_stats[c] =
+        sample_component(state, std::move(comps[c]), child_rngs[c], ctx);
+  });
   pram.append_parallel(child_stats);
   return pram;
 }
@@ -175,7 +170,7 @@ void check_has_matching(const MatchingCounter& counter) {
 
 MatchingResult sample_matching_sequential(const PlanarGraph& g,
                                           RandomStream& rng,
-                                          PramLedger* ledger) {
+                                          const ExecutionContext& ctx) {
   MatchingResult result;
   if (g.num_vertices() == 0) return result;
   // FKT orientation requires connected input; callers split components.
@@ -194,13 +189,13 @@ MatchingResult sample_matching_sequential(const PlanarGraph& g,
   result.matching = canonical_matching(std::move(state.matching));
   result.diag = state.diag;
   result.diag.pram = pram;
-  if (ledger != nullptr) ledger->sequential(pram);
+  if (ctx.ledger() != nullptr) ctx.ledger()->sequential(pram);
   return result;
 }
 
 MatchingResult sample_matching_separator(const PlanarGraph& g,
-                                         RandomStream& rng, PramLedger* ledger,
-                                         const SeparatorSamplerOptions& options) {
+                                         RandomStream& rng,
+                                         const ExecutionContext& ctx) {
   MatchingResult result;
   if (g.num_vertices() == 0) return result;
   check_arg(g.components().size() <= 1,
@@ -214,11 +209,11 @@ MatchingResult sample_matching_separator(const PlanarGraph& g,
   std::vector<int> alive(g.num_vertices());
   for (std::size_t i = 0; i < alive.size(); ++i) alive[i] = static_cast<int>(i);
   const PramStats pram =
-      sample_component(state, std::move(alive), rng.split(), options);
+      sample_component(state, std::move(alive), rng.split(), ctx);
   result.matching = canonical_matching(std::move(state.matching));
   result.diag = state.diag;
   result.diag.pram = pram;
-  if (ledger != nullptr) ledger->sequential(pram);
+  if (ctx.ledger() != nullptr) ctx.ledger()->sequential(pram);
   return result;
 }
 

@@ -14,7 +14,7 @@
 // components (see matching_count.h).
 #pragma once
 
-#include "parallel/thread_pool.h"
+#include "parallel/execution.h"
 #include "planar/enumerate.h"
 #include "planar/graph.h"
 #include "planar/matching_count.h"
@@ -29,20 +29,18 @@ struct MatchingResult {
 };
 
 /// Exact uniform perfect matching, sequential baseline. Throws
-/// SamplingFailure when the graph has no perfect matching.
+/// SamplingFailure when the graph has no perfect matching. The context
+/// only carries the ledger: every round is one vertex's match.
 [[nodiscard]] MatchingResult sample_matching_sequential(
-    const PlanarGraph& g, RandomStream& rng, PramLedger* ledger = nullptr);
-
-struct SeparatorSamplerOptions {
-  /// Components at or below this size are finished sequentially.
-  std::size_t base_cutoff = 6;
-  /// Run sibling components on the shared thread pool.
-  bool parallel_components = true;
-};
+    const PlanarGraph& g, RandomStream& rng,
+    const ExecutionContext& ctx = ExecutionContext::serial());
 
 /// Exact uniform perfect matching via separator recursion (Theorem 11).
+/// Sibling components fan out on the context's pool; each draws from its
+/// own split stream, so the matching and `diag` are identical at every
+/// pool size.
 [[nodiscard]] MatchingResult sample_matching_separator(
-    const PlanarGraph& g, RandomStream& rng, PramLedger* ledger = nullptr,
-    const SeparatorSamplerOptions& options = {});
+    const PlanarGraph& g, RandomStream& rng,
+    const ExecutionContext& ctx = ExecutionContext::serial());
 
 }  // namespace pardpp

@@ -290,12 +290,6 @@ SampleResult SamplerSession::draw_indexed(
   std::rethrow_exception(last);
 }
 
-SampleResult SamplerSession::draw(RandomStream& rng) {
-  std::unique_ptr<CommittedOracle>& slot = serial_state_;
-  return draw_indexed(
-      serial_index_.fetch_add(1, std::memory_order_relaxed), rng, slot);
-}
-
 std::vector<SampleResult> SamplerSession::draw_many(
     std::size_t count, RandomStream& rng, const ExecutionContext& ctx) {
   DrawBatchOutcome outcome =

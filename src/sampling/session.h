@@ -143,7 +143,7 @@ struct SessionOptions {
 };
 
 /// Lifetime counters snapshot from SamplerSession::health(). All counts
-/// are since construction, across draw() and draw_many().
+/// are since construction, across draw_many() and draw_many_batched().
 struct SessionHealth {
   std::uint64_t draws = 0;        ///< draw attempts started (incl. failed)
   std::uint64_t failures = 0;     ///< draws that threw out of the session
@@ -183,11 +183,6 @@ class SamplerSession {
   /// them read-only.
   explicit SamplerSession(const CountingOracle& base,
                           SessionOptions options = {});
-
-  /// One draw on the session's serial state (reset + run; scratch and the
-  /// base preprocessing are reused across calls), consuming `rng`
-  /// directly. A throw leaves the session reusable.
-  [[nodiscard]] SampleResult draw(RandomStream& rng);
 
   /// `count` independent draws, dispatched in chunks on the context's
   /// pool with one committed state per chunk. Draw i consumes a private
@@ -263,11 +258,9 @@ class SamplerSession {
   const CountingOracle* base_;
   SessionOptions options_;
   std::uint64_t epoch_;  // stamped from a process-wide monotone counter
-  std::unique_ptr<CommittedOracle> serial_state_;
   std::unique_ptr<DistillationPlan> plan_;  // non-null iff distill.enabled
   mutable std::once_flag base_primed_;  // rungs 1/2 of a distilled session
 
-  std::atomic<std::uint64_t> serial_index_{0};  // draw() failpoint scope index
   std::atomic<std::uint64_t> draws_{0};
   std::atomic<std::uint64_t> failures_{0};
   std::atomic<std::uint64_t> retries_{0};

@@ -208,28 +208,6 @@ std::optional<std::string> FrameReader::next() {
   return payload;
 }
 
-const char* response_status_name(ResponseStatus status) noexcept {
-  switch (status) {
-    case ResponseStatus::kOk:
-      return "ok";
-    case ResponseStatus::kMalformed:
-      return "malformed";
-    case ResponseStatus::kInternalError:
-      return "internal_error";
-    case ResponseStatus::kInvalidArgument:
-      return "invalid_argument";
-    case ResponseStatus::kNumericalError:
-      return "numerical_error";
-    case ResponseStatus::kSamplingFailure:
-      return "sampling_failure";
-    case ResponseStatus::kStarvation:
-      return "starvation";
-    case ResponseStatus::kOverloaded:
-      return "overloaded";
-  }
-  return "unknown";
-}
-
 ResponseStatus status_for_exception(
     const std::exception_ptr& error) noexcept {
   // Most specific type first — the same ladder the CLI's exit codes use,

@@ -93,8 +93,6 @@ enum class ResponseStatus : int {
   kOverloaded = 7,      ///< admission control rejected; retry later
 };
 
-[[nodiscard]] const char* response_status_name(ResponseStatus status) noexcept;
-
 /// Classifies a caught exception onto the wire status taxonomy (most
 /// specific type wins, mirroring the CLI's catch ladder).
 [[nodiscard]] ResponseStatus status_for_exception(

@@ -53,14 +53,6 @@ std::shared_ptr<ServingSession> SessionRegistry::peek(
   return found == index_.end() ? nullptr : found->second->session;
 }
 
-std::vector<KernelFingerprint> SessionRegistry::lru_order() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<KernelFingerprint> order;
-  order.reserve(lru_.size());
-  for (const Entry& entry : lru_) order.push_back(entry.fingerprint);
-  return order;
-}
-
 std::vector<std::pair<KernelFingerprint, std::shared_ptr<ServingSession>>>
 SessionRegistry::snapshot() const {
   const std::lock_guard<std::mutex> lock(mutex_);

@@ -98,9 +98,6 @@ class SessionRegistry {
   [[nodiscard]] std::shared_ptr<ServingSession> peek(
       const KernelFingerprint& fingerprint) const;
 
-  /// Fingerprints most-recently-used first.
-  [[nodiscard]] std::vector<KernelFingerprint> lru_order() const;
-
   /// Every resident entry, most-recently-used first (the stats surface).
   [[nodiscard]] std::vector<
       std::pair<KernelFingerprint, std::shared_ptr<ServingSession>>>

@@ -7,13 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 #include <vector>
 
 #include "distributions/product.h"
+#include "dpp/charpoly_engine.h"
 #include "dpp/ensemble.h"
 #include "dpp/general_oracle.h"
 #include "dpp/symmetric_oracle.h"
+#include "linalg/esp.h"
 #include "linalg/factory.h"
 #include "parallel/execution.h"
 #include "parallel/parallel_for.h"
@@ -198,6 +201,93 @@ TEST(ParallelStress, NestedParallelForDegeneratesInsteadOfDeadlocking) {
   });
   EXPECT_EQ(bodies.load(), 64);
   EXPECT_FALSE(in_parallel_region());
+}
+
+// ---- linalg hot paths on an attached pool (set_linalg_pool) ----
+
+// Detaches the linalg pool on scope exit, so a failing assertion never
+// leaves a dangling pool attached for later tests.
+struct LinalgPoolScope {
+  explicit LinalgPoolScope(ThreadPool& pool) { set_linalg_pool(&pool); }
+  ~LinalgPoolScope() { set_linalg_pool(nullptr); }
+  LinalgPoolScope(const LinalgPoolScope&) = delete;
+  LinalgPoolScope& operator=(const LinalgPoolScope&) = delete;
+};
+
+// compute() with no linalg pool, then with pools of {1, 2, 4} threads:
+// the fan-out must leave every output bit-identical.
+template <typename Compute>
+void expect_identical_at_every_linalg_pool(Compute compute) {
+  const std::vector<double> serial = compute();
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    std::vector<double> pooled;
+    {
+      const LinalgPoolScope scope(pool);
+      pooled = compute();
+    }
+    ASSERT_EQ(pooled.size(), serial.size());
+    EXPECT_EQ(std::memcmp(pooled.data(), serial.data(),
+                          serial.size() * sizeof(double)),
+              0)
+        << threads << " threads";
+  }
+}
+
+void append(std::vector<double>& out, const LogCoefficient& c) {
+  out.push_back(c.log_abs);
+  out.push_back(static_cast<double>(c.sign));
+}
+
+TEST(LinalgPool, CharPolyEngineIdenticalAtEveryPoolSize) {
+  RandomStream setup(7101);
+  const std::size_t n = 12;
+  const Matrix m = random_npsd(n, setup, 0.6);
+  std::vector<int> part_of(n);
+  for (std::size_t i = 0; i < n; ++i) part_of[i] = static_cast<int>(i % 2);
+  expect_identical_at_every_linalg_pool([&] {
+    // A fresh engine per run, so the node cache is built on the pool too.
+    const CharPolyEngine engine(m, part_of, 2, {2, 2});
+    std::vector<double> out;
+    for (const LogCoefficient& c : engine.marginal_numerators())
+      append(out, c);
+    append(out, engine.log_count_superset(std::vector<int>{0, 5},
+                                          std::vector<int>{1, 1}));
+    append(out, engine.log_count_superset(std::vector<int>{3},
+                                          std::vector<int>{2, 1}));
+    return out;
+  });
+}
+
+TEST(LinalgPool, LogEspTableIdenticalAtEveryPoolSize) {
+  // n (jmax + 1) = 200 * 41 is above the size at which the prefix and
+  // suffix sweeps fan out.
+  RandomStream setup(7102);
+  std::vector<double> lambda(200);
+  for (double& v : lambda) v = 4.0 * setup.uniform();
+  const std::size_t jmax = 40;
+  expect_identical_at_every_linalg_pool([&] {
+    const LogEspTable table(lambda, jmax);
+    std::vector<double> out;
+    for (std::size_t j = 0; j <= jmax; ++j) {
+      out.push_back(table.log_e(j));
+      for (std::size_t m = 0; m < lambda.size(); ++m)
+        out.push_back(table.log_e_without(m, j));
+    }
+    return out;
+  });
+}
+
+TEST(LinalgPool, MatrixProductIdenticalAtEveryPoolSize) {
+  // 80 rows: above the 64-row size at which the product fans out.
+  RandomStream setup(7103);
+  const Matrix a = random_gaussian(80, 70, setup);
+  const Matrix b = random_gaussian(70, 50, setup);
+  expect_identical_at_every_linalg_pool([&] {
+    const Matrix c = a * b;
+    return std::vector<double>(c.flat().begin(), c.flat().end());
+  });
 }
 
 }  // namespace

@@ -412,7 +412,7 @@ TEST(SamplerSessionTest, StarvationSurfacesSessionContext) {
   for (std::uint64_t seed = 0; seed < 64 && !starved; ++seed) {
     RandomStream rng(882000 + seed);
     try {
-      (void)session.draw(rng);
+      (void)session.draw_many(1, rng, ExecutionContext::serial());
     } catch (const DistillationStarvation& failure) {
       starved = true;
       EXPECT_EQ(failure.diag.proposals, 1u);

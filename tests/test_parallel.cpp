@@ -4,7 +4,6 @@
 #include <atomic>
 #include <algorithm>
 #include <mutex>
-#include <utility>
 #include <numeric>
 
 #include "parallel/parallel_for.h"
@@ -93,15 +92,6 @@ TEST(ParallelFor, MatchesSerialSum) {
   EXPECT_DOUBLE_EQ(total, 0.5 * 999.0 * 1000.0 / 2.0);
 }
 
-TEST(ParallelInvoke, RunsAllThunks) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  std::vector<std::function<void()>> thunks;
-  for (int i = 0; i < 10; ++i) thunks.push_back([&counter] { ++counter; });
-  parallel_invoke(pool, std::move(thunks));
-  EXPECT_EQ(counter.load(), 10);
-}
-
 // ---- exception propagation out of parallel bodies (convention 12) ----
 //
 // The failure-atomicity contract the sampling stack builds on: the first
@@ -166,20 +156,6 @@ TEST(ParallelFor, NestedThrowPropagatesThroughTheNestingGuard) {
   std::atomic<int> counter{0};
   parallel_for(pool, 0, 32, [&](std::size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 32);
-}
-
-TEST(ParallelInvoke, ThrowingThunkPropagatesAfterAllDrain) {
-  ThreadPool pool(2);
-  std::atomic<int> finished{0};
-  std::vector<std::function<void()>> thunks;
-  for (int i = 0; i < 8; ++i) {
-    thunks.push_back([&finished, i] {
-      if (i == 4) throw Error("invoke boom");
-      ++finished;
-    });
-  }
-  EXPECT_THROW(parallel_invoke(pool, std::move(thunks)), Error);
-  EXPECT_EQ(finished.load(), 7) << "non-throwing thunks must all drain";
 }
 
 TEST(ParallelFor, ThrowStressSharedPool) {

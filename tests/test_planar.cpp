@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 
+#include "parallel/execution.h"
+#include "parallel/thread_pool.h"
 #include "planar/enumerate.h"
 #include "planar/faces.h"
 #include "planar/fkt.h"
@@ -419,10 +422,41 @@ TEST(MatchingSampler, SeparatorDepthBeatsSequential) {
   const auto g = grid_graph(8, 8);
   PramLedger seq_ledger;
   PramLedger sep_ledger;
-  (void)sample_matching_sequential(g, rng, &seq_ledger);
-  (void)sample_matching_separator(g, rng, &sep_ledger);
+  (void)sample_matching_sequential(g, rng,
+                                   ExecutionContext::serial(&seq_ledger));
+  (void)sample_matching_separator(g, rng,
+                                  ExecutionContext::serial(&sep_ledger));
   EXPECT_DOUBLE_EQ(seq_ledger.stats().depth, 32.0);  // n/2 rounds
   EXPECT_LT(sep_ledger.stats().depth, 25.0);  // ~c sqrt(n) < n/2
+}
+
+// Sibling components fan out on the context's pool, each on its own split
+// stream: the matching and the PRAM accounting are the serial run's at
+// every pool size (under TSan this also covers the SharedState lock).
+TEST(MatchingSampler, SeparatorIsPoolSizeInvariant) {
+  const auto g = grid_graph(8, 8);
+  ThreadPool pool(4);
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    RandomStream serial_rng(3008 + seed);
+    RandomStream pool_rng(3008 + seed);
+    PramLedger serial_ledger;
+    PramLedger pool_ledger;
+    const auto serial = sample_matching_separator(
+        g, serial_rng, ExecutionContext::serial(&serial_ledger));
+    const auto pooled = sample_matching_separator(
+        g, pool_rng, ExecutionContext(&pool, &pool_ledger));
+    EXPECT_EQ(pooled.matching, serial.matching) << "seed " << seed;
+    EXPECT_EQ(pooled.diag.rounds, serial.diag.rounds) << "seed " << seed;
+    EXPECT_EQ(pooled.diag.oracle_calls, serial.diag.oracle_calls);
+    EXPECT_EQ(pooled.diag.pram.depth, serial.diag.pram.depth);
+    EXPECT_EQ(pooled.diag.pram.work, serial.diag.pram.work);
+    EXPECT_EQ(pooled.diag.pram.rounds, serial.diag.pram.rounds);
+    EXPECT_EQ(pooled.diag.pram.max_machines, serial.diag.pram.max_machines);
+    EXPECT_EQ(pooled.diag.pram.oracle_calls, serial.diag.pram.oracle_calls);
+    EXPECT_EQ(pool_ledger.stats().depth, serial_ledger.stats().depth);
+    EXPECT_EQ(serial_rng.next_u64(), pool_rng.next_u64())
+        << "the caller's stream must advance identically";
+  }
 }
 
 TEST(MatchingSampler, NoMatchingThrows) {

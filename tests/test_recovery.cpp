@@ -65,6 +65,12 @@ void expect_matches(const ExactDistribution& dist,
   EXPECT_LT(testing::empirical_tv(dist, samples), 0.08);
 }
 
+// One draw through draw_many on a serial context.
+SampleResult draw_one(SamplerSession& session, RandomStream& rng) {
+  return std::move(
+      session.draw_many(1, rng, ExecutionContext::serial()).front());
+}
+
 // draw_many at pools {1, hw} from one seed; asserts pool-size
 // bit-identity and returns the pool-1 sequence.
 std::vector<std::vector<int>> collect_pool_identical(SamplerSession& session,
@@ -96,13 +102,13 @@ TEST_F(RecoveryTest, CommitPivotWithoutRecoveryThrowsTypedAndStaysUsable) {
   SamplerSession session(oracle, {});
   RandomStream rng(99101);
   arm("symmetric.commit.pivot=prob:1");
-  EXPECT_THROW((void)session.draw(rng), NumericalError);
+  EXPECT_THROW((void)draw_one(session, rng), NumericalError);
   SessionHealth health = session.health();
   EXPECT_EQ(health.draws, 1u);
   EXPECT_EQ(health.failures, 1u);
   // Per-draw failures leave the session fully reusable.
   disarm();
-  const auto result = session.draw(rng);
+  const auto result = draw_one(session, rng);
   EXPECT_EQ(result.items.size(), 3u);
   health = session.health();
   EXPECT_EQ(health.draws, 2u);
@@ -117,7 +123,7 @@ TEST_F(RecoveryTest, CommitPivotWithRecoveryDegradesToReference) {
   SamplerSession session(oracle, options);
   RandomStream rng(99102);
   arm("symmetric.commit.pivot=prob:1");
-  const auto result = session.draw(rng);
+  const auto result = draw_one(session, rng);
   EXPECT_EQ(result.items.size(), 3u);
   EXPECT_EQ(result.diag.recovery_retries, 1u);
   EXPECT_EQ(result.diag.degradation_level, 2u);  // condition() reference
@@ -175,7 +181,7 @@ TEST_F(RecoveryTest, StarvationWithoutRecoveryThrowsTypedAndStaysUsable) {
   RandomStream rng(99107);
   arm("distill.accept=prob:1");  // every pool force-rejected
   try {
-    (void)session.draw(rng);
+    (void)draw_one(session, rng);
     FAIL() << "expected DistillationStarvation";
   } catch (const DistillationStarvation& starved) {
     EXPECT_EQ(starved.diag.proposals, 64u);
@@ -184,7 +190,7 @@ TEST_F(RecoveryTest, StarvationWithoutRecoveryThrowsTypedAndStaysUsable) {
   EXPECT_EQ(health.starvations, 1u);
   EXPECT_EQ(health.failures, 1u);
   disarm();
-  EXPECT_EQ(session.draw(rng).items.size(), 3u);
+  EXPECT_EQ(draw_one(session, rng).items.size(), 3u);
 }
 
 TEST_F(RecoveryTest, StarvationWithRecoveryDegradesToUndistilled) {
@@ -198,7 +204,7 @@ TEST_F(RecoveryTest, StarvationWithRecoveryDegradesToUndistilled) {
   SamplerSession session(oracle, options);
   RandomStream rng(99108);
   arm("distill.accept=prob:1");
-  const auto result = session.draw(rng);
+  const auto result = draw_one(session, rng);
   EXPECT_EQ(result.items.size(), 3u);
   EXPECT_EQ(result.diag.degradation_level, 1u);  // undistilled path
   const SessionHealth health = session.health();
@@ -284,12 +290,12 @@ TEST_F(RecoveryTest, QueryManyFaultExhaustsBudgetWithTypedError) {
   // too), so the ladder exhausts its budget and surfaces the typed
   // error with the failure counted.
   arm("oracle.query_many=prob:1");
-  EXPECT_THROW((void)session.draw(rng), NumericalError);
+  EXPECT_THROW((void)draw_one(session, rng), NumericalError);
   const SessionHealth health = session.health();
   EXPECT_EQ(health.failures, 1u);
   EXPECT_EQ(health.retries, 2u);
   disarm();
-  EXPECT_EQ(session.draw(rng).items.size(), 3u);
+  EXPECT_EQ(draw_one(session, rng).items.size(), 3u);
 }
 
 // ---- recovery with a one-shot fault: scoped retry determinism ----
@@ -308,7 +314,7 @@ TEST_F(RecoveryTest, ScopedOneShotFaultRecoversOnRetrySameRung) {
   SamplerSession session(oracle, options);
   arm("oracle.query_many=scoped,count:1");
   RandomStream rng(99116);
-  const auto result = session.draw(rng);
+  const auto result = draw_one(session, rng);
   EXPECT_EQ(result.items.size(), 2u);
   EXPECT_EQ(result.diag.recovery_retries, 1u);
   EXPECT_EQ(result.diag.degradation_level, 0u)

@@ -69,6 +69,14 @@ SessionRegistry::OracleFactory symmetric_factory(const Matrix& kernel,
   };
 }
 
+// Resident fingerprints, most-recently-used first.
+std::vector<KernelFingerprint> lru_order(const SessionRegistry& registry) {
+  std::vector<KernelFingerprint> order;
+  for (const auto& entry : registry.snapshot())
+    order.push_back(entry.first);
+  return order;
+}
+
 // ---- sampler kind enumeration (satellite 1) ----
 
 TEST(ServingKinds, SamplerKindNameRoundTrips) {
@@ -359,20 +367,20 @@ TEST(ServingRegistry, LruEvictionDropsTheColdEnd) {
   // Budget holds two 100-byte entries. Insert A, B: both resident.
   (void)registry.acquire(key(1), options, 100, factory);
   (void)registry.acquire(key(2), options, 100, factory);
-  ASSERT_EQ(registry.lru_order(),
+  ASSERT_EQ(lru_order(registry),
             (std::vector<KernelFingerprint>{key(2), key(1)}));
   // Touch A (hit): order flips, nothing evicted.
   (void)registry.acquire(key(1), options, 100, factory);
-  ASSERT_EQ(registry.lru_order(),
+  ASSERT_EQ(lru_order(registry),
             (std::vector<KernelFingerprint>{key(1), key(2)}));
   // Insert C: budget overflows, the cold end (B) goes.
   (void)registry.acquire(key(3), options, 100, factory);
-  EXPECT_EQ(registry.lru_order(),
+  EXPECT_EQ(lru_order(registry),
             (std::vector<KernelFingerprint>{key(3), key(1)}));
   EXPECT_EQ(registry.peek(key(2)), nullptr);
   // Re-acquiring B is a fresh miss (rebuild), evicting A.
   (void)registry.acquire(key(2), options, 100, factory);
-  EXPECT_EQ(registry.lru_order(),
+  EXPECT_EQ(lru_order(registry),
             (std::vector<KernelFingerprint>{key(2), key(3)}));
   const auto stats = registry.stats();
   EXPECT_EQ(stats.lookups, 5u);
@@ -405,7 +413,7 @@ TEST(ServingRegistry, FactoryExceptionLeavesRegistryUnchanged) {
                                       SessionOptions{}, 64, throwing),
                InvalidArgument);
   EXPECT_EQ(registry.stats().sessions, 0u);
-  EXPECT_EQ(registry.lru_order().size(), 0u);
+  EXPECT_EQ(lru_order(registry).size(), 0u);
 }
 
 TEST(ServingRegistry, SessionEpochsAreMonotone) {
